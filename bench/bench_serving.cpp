@@ -23,7 +23,7 @@
 // runs one pinned overload scenario; the full stats registry (admission
 // counters, per-tenant p50/p99 split into queueing vs service time,
 // goodput) is written to PATH as JSON for a byte-compare against the
-// committed golden at ACCESYS_THREADS 1 and 4.
+// committed golden.
 #include "bench_util.hh"
 
 #include <fstream>
@@ -120,7 +120,7 @@ int main(int argc, char** argv)
     if (!golden_out.empty()) {
         // Pinned CI scenario: 1.5x overload, shed_oldest, bounded queue.
         // Counts and per-tenant percentiles land in the stats registry,
-        // which is byte-compared across ACCESYS_THREADS values.
+        // which is byte-compared against the committed golden.
         SystemConfig cfg = SystemConfig::paper_default();
         cfg.set_num_devices(devices);
         System sys(cfg);

@@ -513,7 +513,7 @@ std::ptrdiff_t Runner::least_loaded(const std::vector<EpHealth>& health,
 {
     // Ascending-index scan with a strict `<`: ties on load resolve to the
     // lowest endpoint index (topology order), so the pick is a pure
-    // function of the health table — identical for every ACCESYS_THREADS.
+    // function of the health table.
     std::ptrdiff_t best = -1;
     std::uint64_t best_load = 0;
     for (std::size_t ep = 0; ep < health.size(); ++ep) {
@@ -1085,9 +1085,9 @@ ServingResult Runner::serve(workload::RequestGen& gen,
         }
 
         // Drain arrivals up to the round boundary (a tick sampled inside
-        // the program, so serial and parallel runs agree — see the
-        // RequestGen determinism note), then put retries back at the
-        // front: they are older than anything that arrived this round.
+        // the program — see the RequestGen determinism note), then put
+        // retries back at the front: they are older than anything that
+        // arrived this round.
         for (const workload::Request* r : gen.take_until(round_end)) {
             admit(r);
         }

@@ -43,8 +43,7 @@ std::uint64_t mix_link(std::uint64_t h, const pcie::LinkParams& l) noexcept
 
 /// Curated FNV-1a hash of everything a checkpoint's validity depends on:
 /// topology shape, address map, timing-relevant knobs and the fault plan.
-/// `threads` is deliberately excluded — the barrier bit-identity contract
-/// makes a checkpoint valid under any ACCESYS_THREADS.
+/// `threads` is excluded: it is accepted and ignored.
 std::uint64_t config_hash(const SystemConfig& cfg)
 {
     std::uint64_t h = kFnvBasis;
@@ -155,10 +154,6 @@ void System::build()
     // a restore in a process that already built other Systems.
     mem::reset_requestor_ids();
 
-    // Worker budget must be set before the topology decides whether to
-    // carve endpoint subtrees into parallel simulation domains.
-    sim_.set_threads(cfg_.threads);
-
     // The fault injector must exist before any component constructs:
     // fault-aware components (links, DMA engines, the RC, the CPU) probe
     // sim().fault_injector() exactly once, in their constructors, to decide
@@ -257,52 +252,15 @@ void System::build()
 
     // --- checkpoint/restore wiring --------------------------------------------
     sim_.set_config_hash(config_hash(cfg_));
-    // Root-domain thread context: the process-wide pools. Restore installs
-    // this before re-materializing root components so their packets/TLPs
-    // come from the same pool they will be recycled into.
-    sim_.set_root_install([] {
-        pcie::TlpPool::set_current(nullptr);
-        mem::PacketPool::set_current(nullptr);
-    });
     // Non-SimObject state, serialized between the component and stats
     // sections. The store first (components re-materialized nothing that
     // touches it), then the pool counters: they must overwrite the
     // acquires the component restore itself performed so the counter
     // streams continue as if never interrupted.
     sim_.add_ckpt_hook("store", [this](Ckpt& ar) { store_.serialize(ar); });
-    sim_.add_ckpt_hook("pools", [this](Ckpt& ar) {
-        // Count-prefixed: per-device pools exist only under a parallel
-        // carve, and snapshots are thread-count-neutral. On a carve
-        // mismatch the saved records are drained unapplied and every pool
-        // keeps its organic counters — those truthfully track this
-        // process's construction + restore acquires, which is what the
-        // recycle accounting must balance against.
-        std::uint64_t np = 2;
-        for (const DeviceInstance& dev : topo_.devices) {
-            np += (dev.pkt_pool ? 1 : 0) + (dev.tlp_pool ? 1 : 0);
-        }
-        const std::uint64_t np_here = np;
-        ar.io(np);
-        if (np == np_here) {
-            mem::PacketPool::global().serialize_counters(ar);
-            pcie::TlpPool::global().serialize_counters(ar);
-            for (DeviceInstance& dev : topo_.devices) {
-                if (dev.pkt_pool) {
-                    dev.pkt_pool->serialize_counters(ar);
-                }
-                if (dev.tlp_pool) {
-                    dev.tlp_pool->serialize_counters(ar);
-                }
-            }
-            return;
-        }
-        // Record shape: keep in sync with Pool::serialize_counters.
-        for (std::uint64_t i = 0; i < np; ++i) {
-            std::uint64_t allocs = 0;
-            std::uint64_t acquires = 0;
-            std::uint64_t recycles = 0;
-            ar.io(allocs, acquires, recycles);
-        }
+    sim_.add_ckpt_hook("pools", [](Ckpt& ar) {
+        mem::PacketPool::global().serialize_counters(ar);
+        pcie::TlpPool::global().serialize_counters(ar);
     });
 }
 

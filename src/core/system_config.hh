@@ -12,7 +12,6 @@
 #include "pcie/link.hh"
 #include "pcie/root_complex.hh"
 #include "pcie/switch.hh"
-#include "sim/env_flags.hh"
 #include "sim/fault_injector.hh"
 #include "smmu/smmu.hh"
 
@@ -183,11 +182,9 @@ struct SystemConfig {
     /// fault model compiled in. See sim/fault_injector.hh.
     FaultPlan fault_plan;
 
-    /// Simulation worker-thread budget (ACCESYS_THREADS). With >= 2, the
-    /// topology carves each endpoint subtree (downstream link + device +
-    /// devmem) into its own simulation domain and run() goes parallel;
-    /// 1 keeps the exact serial path. Results are identical either way.
-    unsigned threads = env_flags().threads;
+    /// Accepted and ignored: the simulator always runs one serial event
+    /// queue. Kept only for benchmark/ source compatibility.
+    unsigned threads = 1;
 
     /// Table II configuration: ARM 1 GHz, 64 kB D$, 2 MB LLC, 32 kB IOCache,
     /// DDR3-1600 host memory, PCIe 2.0 x4 @ 4 Gb/s, RC 150 ns, switch 50 ns.

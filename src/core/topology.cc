@@ -209,35 +209,12 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
     }
 
     // --- endpoints + per-device device memory --------------------------------
-    //
-    // With a multi-thread budget, each endpoint subtree (downstream link,
-    // MatrixFlow device, devmem xbar + controller) is carved into its own
-    // simulation domain: its components bind to the domain's event queue
-    // and allocate from the domain's packet/TLP pools, the downstream
-    // link becomes the domain boundary (staged handoffs flushed at every
-    // barrier, in device order), and dev->host DMA data stages in the
-    // domain's write journal. The barrier quantum is the minimum
-    // propagation delay over all boundary links — the conservative
-    // lookahead that makes free-running windows safe.
-    const bool carve = sim.threads() > 1;
-    Tick min_prop = kMaxTick;
     for (std::size_t i = 0; i < plan.devices.size(); ++i) {
         const ResolvedDevice& dev = plan.devices[i];
         DeviceInstance inst;
         inst.name = dev.name;
         inst.stream_id = dev.stream_id;
         inst.attach_to = dev.attach_to;
-
-        if (carve) {
-            inst.tlp_pool = std::make_unique<pcie::TlpPool>();
-            inst.pkt_pool = std::make_unique<mem::PacketPool>();
-            inst.journal = std::make_unique<mem::WriteJournal>();
-            inst.domain = sim.begin_domain(dev.name);
-            // Construction runs under the domain's thread context so
-            // components that cache a pool reference resolve correctly.
-            pcie::TlpPool::set_current(inst.tlp_pool.get());
-            mem::PacketPool::set_current(inst.pkt_pool.get());
-        }
 
         inst.link = std::make_unique<pcie::PcieLink>(
             sim, "link_dn" + index_suffix(i), dev.link);
@@ -272,42 +249,7 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
                 inst.devmem_xbar->add_upstream("aperture");
             inst.device->attach_devmem(dev.devmem, mover_up, aperture_up);
         }
-
-        if (carve) {
-            pcie::TlpPool::set_current(nullptr);
-            mem::PacketPool::set_current(nullptr);
-            sim.end_domain();
-
-            // The downstream link is the domain boundary: end_a stays in
-            // the root domain (switch side, global pools), end_b in the
-            // device's domain.
-            Simulator::Domain& dom = sim.domain(inst.domain);
-            inst.link->set_boundary(sim.queue(), pcie::TlpPool::global(),
-                                    *dom.queue, *inst.tlp_pool);
-            min_prop = std::min(min_prop, inst.link->prop_ticks());
-            inst.device->dma_engine().set_write_journal(inst.journal.get());
-
-            pcie::TlpPool* tp = inst.tlp_pool.get();
-            mem::PacketPool* pp = inst.pkt_pool.get();
-            dom.install = [tp, pp] {
-                pcie::TlpPool::set_current(tp);
-                mem::PacketPool::set_current(pp);
-            };
-            mem::WriteJournal* j = inst.journal.get();
-            mem::BackingStore* st = &store;
-            dom.drain_functional = [j, st](Tick t) { j->apply_until(*st, t); };
-
-            Simulator* sp = &sim;
-            pcie::PcieLink* lk = inst.link.get();
-            sim.register_barrier_hook(
-                [sp, lk] { sp->note_handoffs(lk->flush_boundary()); });
-        }
         topo.devices.push_back(std::move(inst));
-    }
-    if (carve && !topo.devices.empty()) {
-        ensure(min_prop > 0,
-               "parallel domains need a non-zero link propagation delay");
-        sim.set_quantum(min_prop);
     }
     return topo;
 }

@@ -28,9 +28,6 @@
 #include "core/bump_alloc.hh"
 #include "core/system_config.hh"
 #include "mem/backing_store.hh"
-#include "mem/packet.hh"
-#include "mem/write_journal.hh"
-#include "pcie/tlp.hh"
 
 namespace accesys::core {
 
@@ -83,15 +80,6 @@ struct DeviceInstance {
     std::string name;
     std::uint32_t stream_id = 0;
     std::size_t attach_to = 0;
-
-    // Parallel-domain context (populated only when the topology carves
-    // this endpoint subtree into its own simulation domain). Declared
-    // before the components so the pools outlive every packet/TLP the
-    // components still hold at destruction.
-    std::unique_ptr<pcie::TlpPool> tlp_pool;
-    std::unique_ptr<mem::PacketPool> pkt_pool;
-    std::unique_ptr<mem::WriteJournal> journal;
-    std::size_t domain = static_cast<std::size_t>(-1);
 
     std::unique_ptr<pcie::PcieLink> link;
     std::unique_ptr<accel::MatrixFlowDevice> device;

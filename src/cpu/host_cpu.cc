@@ -263,10 +263,6 @@ bool HostCpu::recv_resp(mem::PacketPtr& pkt)
                    std::holds_alternative<PollFlag>(program_[pc_]),
                name(), ": poll response outside a poll op (pc=", pc_, ")");
         const auto& p = std::get<PollFlag>(program_[pc_]);
-        // Parallel mode: device->host completion flags are staged in
-        // per-domain journals; fence so every write with tick <= now is
-        // applied before the functional read (no-op in serial runs).
-        sim().sync_functional_reads(now());
         const auto value = store_->read_obj<std::uint64_t>(p.addr);
         pkt.reset();
         if (value == p.expected) {

@@ -60,16 +60,8 @@ void DmaEngine::submit(DmaJob job)
     ensure(job.bytes > 0, name(), ": zero-length DMA job");
     if (job.dir == DmaJob::Dir::dev_to_host) {
         // Snapshot the device data now: the producer may reuse its staging
-        // buffer before the posted writes drain (models a drain FIFO). In
-        // parallel mode the snapshot is staged in the domain's journal and
-        // applied to host memory by the root thread at the next barrier or
-        // read fence — same tick, same bytes, no cross-thread write.
-        if (journal_ != nullptr) {
-            journal_->record(now(), *store_, job.host_addr, job.dev_addr,
-                             job.bytes);
-        } else {
-            store_->copy(job.host_addr, job.dev_addr, job.bytes);
-        }
+        // buffer before the posted writes drain (models a drain FIFO).
+        store_->copy(job.host_addr, job.dev_addr, job.bytes);
     }
     queued_.push_back(std::move(job));
     pump();

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "mem/backing_store.hh"
-#include "mem/write_journal.hh"
 #include "pcie/tlp.hh"
 #include "sim/simulator.hh"
 
@@ -125,14 +124,6 @@ class DmaEngine final : public SimObject {
     /// Change the read request size between jobs (bench sweeps).
     void set_request_bytes(std::uint32_t bytes);
 
-    /// Route dev->host functional copies through a per-domain journal
-    /// instead of writing host memory directly (parallel mode only; see
-    /// mem/write_journal.hh). Null restores the direct path.
-    void set_write_journal(mem::WriteJournal* journal) noexcept
-    {
-        journal_ = journal;
-    }
-
     // Hooks called by the hosting endpoint.
     void on_completion(const pcie::Tlp& cpl);
     void on_tx_ready() { pump(); }
@@ -226,7 +217,6 @@ class DmaEngine final : public SimObject {
     DmaPort* port_;
     mem::BackingStore* store_;
     TransferListener* listener_ = nullptr; ///< continuation re-bind on load
-    mem::WriteJournal* journal_ = nullptr; ///< dev->host staging (parallel)
     pcie::TlpPool* tlp_pool_ = nullptr; ///< resolved once (chunk loops)
 
     /// Channel slots in service order. JobState objects are recycled

@@ -49,7 +49,6 @@ void PacketPool::reserve(std::size_t n)
     free_.reserve(free_.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
         ++allocs_total_;
-        lifetime_allocs_.fetch_add(1, std::memory_order_relaxed);
         Packet* p = new Packet(MemCmd::read_req, 0, 0);
         p->pool_ = this;
         free_.push_back(p);
@@ -63,9 +62,6 @@ PacketPool& PacketPool::global()
     static PacketPool* pool = new PacketPool();
     return *pool;
 }
-
-thread_local PacketPool* PacketPool::current_ = nullptr;
-std::atomic<std::uint64_t> PacketPool::lifetime_allocs_{0};
 
 void Packet::serialize(Ckpt& ar)
 {
@@ -93,7 +89,7 @@ void ckpt_packet(Ckpt& ar, PacketPtr& pkt)
         return;
     }
     if (ar.loading()) {
-        pkt = PacketPool::current().make(MemCmd::read_req, 0, 0);
+        pkt = packet_pool().make(MemCmd::read_req, 0, 0);
     }
     pkt->serialize(ar);
 }

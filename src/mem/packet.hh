@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -292,7 +291,6 @@ class PacketPool {
         ++acquires_total_;
         if (free_.empty()) {
             ++allocs_total_;
-            lifetime_allocs_.fetch_add(1, std::memory_order_relaxed);
             Packet* p = new Packet(cmd, addr, size);
             p->pool_ = this;
             return PacketPtr(p);
@@ -350,32 +348,8 @@ class PacketPool {
     /// The process-wide pool behind Packet::make_read / make_write.
     [[nodiscard]] static PacketPool& global();
 
-    /// The calling thread's current pool: the process-wide pool by
-    /// default, or the simulation domain's own pool while one is
-    /// installed (by TopologyBuilder during domain construction and by
-    /// the domain's worker thread before each window). Every runtime
-    /// `packet_pool()` shorthand resolves through here, so allocation
-    /// stays thread-confined under the parallel event core.
-    [[nodiscard]] static PacketPool& current()
-    {
-        return current_ != nullptr ? *current_ : global();
-    }
-    static void set_current(PacketPool* pool) noexcept { current_ = pool; }
-
-    /// Heap allocations across every pool in the process lifetime (the
-    /// cold path and reserve() only). perf_baseline's zero-steady-state-
-    /// allocation gate sums over domains through this instead of one
-    /// pool's counter.
-    [[nodiscard]] static std::uint64_t lifetime_allocs() noexcept
-    {
-        return lifetime_allocs_.load(std::memory_order_relaxed);
-    }
-
   private:
     friend struct PacketDeleter;
-
-    static thread_local PacketPool* current_;
-    static std::atomic<std::uint64_t> lifetime_allocs_;
 
     void recycle(Packet* pkt) noexcept
     {
@@ -393,27 +367,25 @@ class PacketPool {
     std::uint64_t recycles_total_ = 0;
 };
 
-/// The calling thread's current packet pool (the process-wide pool unless
-/// a simulation domain's pool is installed — see PacketPool::current()).
+/// The process-wide packet pool.
 [[nodiscard]] inline PacketPool& packet_pool()
 {
-    return PacketPool::current();
+    return PacketPool::global();
 }
 
 /// Checkpoint/restore an owning packet slot, empty or occupied. On load an
-/// occupied slot re-materializes from the calling thread's current pool —
-/// the restoring component's own domain pool — preserving the
-/// zero-steady-state-allocation property for the resumed run.
+/// occupied slot re-materializes from the process-wide pool, preserving
+/// the zero-steady-state-allocation property for the resumed run.
 void ckpt_packet(Ckpt& ar, PacketPtr& pkt);
 
 inline PacketPtr Packet::make_read(Addr addr, std::uint32_t size)
 {
-    return PacketPool::current().make_read(addr, size);
+    return packet_pool().make_read(addr, size);
 }
 
 inline PacketPtr Packet::make_write(Addr addr, std::uint32_t size)
 {
-    return PacketPool::current().make_write(addr, size);
+    return packet_pool().make_write(addr, size);
 }
 
 inline void PacketDeleter::operator()(Packet* pkt) const noexcept

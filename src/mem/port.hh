@@ -214,7 +214,7 @@ class PacketQueue {
     using HookFn = void (*)(void*);
 
     PacketQueue(Simulator& sim, std::string name, SendFn send, void* send_ctx)
-        : eq_(&sim.current_queue()),
+        : eq_(&sim.queue()),
           send_(send),
           send_ctx_(send_ctx),
           send_event_(name + ".send", nullptr)
@@ -299,7 +299,7 @@ class PacketQueue {
     [[nodiscard]] bool blocked() const noexcept { return blocked_; }
 
     /// Checkpoint/restore the queued entries (re-materialized from the
-    /// calling thread's pool), the blocked flag and the send event.
+    /// process-wide pool), the blocked flag and the send event.
     void serialize(Ckpt& ar);
 
     /// Tick at which the head entry becomes sendable (kMaxTick when empty).
@@ -347,8 +347,7 @@ class PacketQueue {
     }
 
     // try_send()'s working set first; the Event (large: name + callback)
-    // sits behind it. Bound to the constructing domain's queue so owners
-    // inside a simulation domain schedule locally.
+    // sits behind it.
     EventQueue* eq_;
     RingBuffer<Entry> q_;
     bool blocked_ = false;

@@ -48,8 +48,8 @@ class Endpoint : public SimObject, public PcieNode {
     /// holds — re-arming the link) and the staged egress queue, then sit
     /// busy until now() + `duration` ticks. Subclasses override to also
     /// drain their command/DMA state and call this base. Only legal under
-    /// an active fault plan, from a quiescent point (between runs or at a
-    /// quantum barrier on the endpoint's own domain thread).
+    /// an active fault plan, from a quiescent point (between runs or
+    /// between events).
     virtual void begin_flr(Tick duration);
 
     /// Inside a function-level reset window?
@@ -114,8 +114,7 @@ class Endpoint : public SimObject, public PcieNode {
     [[nodiscard]] unsigned fault_site_id() const;
 
     /// This endpoint's transmit direction has latched failed (replay
-    /// budget exhausted on the downstream link). Reads only the tx-side
-    /// latch this endpoint's domain thread owns.
+    /// budget exhausted on the downstream link).
     [[nodiscard]] bool pcie_tx_failed() const;
 
   private:

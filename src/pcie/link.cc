@@ -96,10 +96,6 @@ PcieLink::PcieLink(Simulator& sim, std::string name, const LinkParams& params)
         ports_[side].side_ = side;
         ports_[side].tx_hdr_credits_ = params_.hdr_credits;
         ports_[side].tx_data_credits_ = params_.data_credit_bytes;
-        // Serial default: both directions run on the construction queue.
-        dirs_[side].tx_q = &eq();
-        dirs_[side].rx_q = &eq();
-        dirs_[side].rx_pool = &tlp_pool();
     }
     dirs_[0].deliver_event.set_name(this->name() + ".deliver_ab");
     dirs_[0].deliver_event.set_raw_callback(
@@ -175,12 +171,9 @@ void PcieLink::startup()
     if (fault_ == nullptr) {
         return;
     }
-    // Boundary wiring (set_boundary) is final here, so each direction's
-    // retrain event lands on the queue that owns its transmit state.
-    for (unsigned s = 0; s < 2; ++s) {
-        FaultDir& f = fault_->dir[s];
+    for (FaultDir& f : fault_->dir) {
         if (!f.down.empty()) {
-            dirs_[s].tx_q->schedule(f.retrain_event, f.down[0].second);
+            schedule(f.retrain_event, f.down[0].second);
         }
     }
 }
@@ -191,107 +184,6 @@ double PcieLink::utilization(unsigned dir) const
     return elapsed == 0 ? 0.0
                         : static_cast<double>(dirs_[dir].busy_ticks) /
                               static_cast<double>(elapsed);
-}
-
-void PcieLink::set_boundary(EventQueue& a_queue, TlpPool& a_pool,
-                            EventQueue& b_queue, TlpPool& b_pool)
-{
-    boundary_ = true;
-    // dirs_[0] carries a->b: transmitted by end_a's domain, delivered
-    // into end_b's; dirs_[1] is the mirror.
-    dirs_[0].tx_q = &a_queue;
-    dirs_[0].rx_q = &b_queue;
-    dirs_[0].rx_pool = &b_pool;
-    dirs_[1].tx_q = &b_queue;
-    dirs_[1].rx_q = &a_queue;
-    dirs_[1].rx_pool = &a_pool;
-}
-
-std::uint64_t PcieLink::flush_boundary()
-{
-    std::uint64_t moved = 0;
-    if (fault_ != nullptr) {
-        for (unsigned s = 0; s < 2; ++s) {
-            Direction& d = dirs_[s];
-            FaultDir& f = fault_->dir[s];
-            // DLL records cross the domain boundary exactly like credit
-            // returns: arrival order preserved, the kick armed as the
-            // serial model would — always for NAKs, for ACKs only when
-            // the transmitter is replay-starved.
-            bool want_kick = false;
-            while (!f.staged_dll.empty()) {
-                const DllRecord rec = f.staged_dll.take_front();
-                if (rec.nak) {
-                    ++f.naks_pending;
-                    want_kick = true;
-                }
-                f.dll.push_back(rec);
-            }
-            if ((want_kick || (f.replay_starved && !f.dll.empty())) &&
-                !f.dll_event.scheduled()) {
-                d.tx_q->schedule_express(
-                    f.dll_event,
-                    std::max(d.tx_q->now(), f.dll.front().arrival));
-            }
-            // Fold the fault-stat shadows (exact integer-valued doubles,
-            // except recovery_ns which is a plain sum either way).
-            fault_->corrupted += static_cast<double>(f.sh_corrupted);
-            fault_->naks += static_cast<double>(f.sh_naks);
-            fault_->replays += static_cast<double>(f.sh_replays);
-            fault_->dropped +=
-                static_cast<double>(f.sh_dropped_tx + f.sh_dropped_rx);
-            fault_->dead += static_cast<double>(f.sh_dead);
-            fault_->retrains += static_cast<double>(f.sh_retrains);
-            f.sh_corrupted = f.sh_naks = f.sh_replays = 0;
-            f.sh_dropped_tx = f.sh_dropped_rx = 0;
-            f.sh_dead = f.sh_retrains = 0;
-        }
-    }
-    for (auto& d : dirs_) {
-        // TLP handoffs: re-materialize each staged TLP in the receiving
-        // domain's pool (so its eventual recycle stays thread-confined)
-        // and retire the original into its own pool — both safe here, the
-        // owning domains are quiesced. Arrivals are monotonic per
-        // direction, so appending preserves in_flight's sort order and
-        // the front-arrival arming below matches the serial schedule.
-        while (!d.staged_tlps.empty()) {
-            InFlight& f = d.staged_tlps.front();
-            TlpPtr clone = d.rx_pool->make();
-            *clone = *f.tlp;
-            d.in_flight.push_back(InFlight{f.arrival, std::move(clone)});
-            f.tlp.reset();
-            d.staged_tlps.pop_front();
-            ++moved;
-        }
-        if (!d.in_flight.empty() && !d.deliver_event.scheduled()) {
-            d.rx_q->schedule_express(d.deliver_event,
-                                     d.in_flight.front().arrival);
-        }
-        // Credit returns: append to the transmit side's ring (arrival
-        // order again preserved) and arm the kick exactly as the serial
-        // lazy model would — at the earliest pending return's arrival,
-        // only if the transmitter is starved (or eager mode insists).
-        const bool had_credits = !d.staged_credits.empty();
-        while (!d.staged_credits.empty()) {
-            d.credit_returns.push_back(d.staged_credits.front());
-            d.staged_credits.pop_front();
-        }
-        if (had_credits && (eager_credits_ || d.tx_starved) &&
-            !d.credit_event.scheduled()) {
-            d.tx_q->schedule_express(d.credit_event,
-                                     d.credit_returns.front().arrival);
-        }
-        // Fold the stat shadows (exact: integer-valued doubles).
-        if (d.sh_tlps != 0) {
-            tlps_ += static_cast<double>(d.sh_tlps);
-            payload_bytes_ += static_cast<double>(d.sh_payload);
-            wire_bytes_ += static_cast<double>(d.sh_wire);
-            d.sh_tlps = 0;
-            d.sh_payload = 0;
-            d.sh_wire = 0;
-        }
-    }
-    return moved;
 }
 
 namespace {
@@ -314,11 +206,10 @@ void PcieLink::synthesize_credits(unsigned side, unsigned hdr,
 {
     // The wire ate a TLP for good: hand its flow-control credits straight
     // back to the transmit side (the receiver will never release them).
-    // Thread-safe: only ever called from `side`'s own transmit path.
     Direction& d = dirs_[side];
-    d.credit_returns.push_back(CreditReturn{d.tx_q->now(), hdr, data});
+    d.credit_returns.push_back(CreditReturn{now(), hdr, data});
     if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        d.tx_q->schedule_express(d.credit_event, d.tx_q->now());
+        eq().schedule_express(d.credit_event, now());
     }
 }
 
@@ -326,31 +217,24 @@ void PcieLink::arm_replay_timer(unsigned dir)
 {
     FaultDir& f = fault_->dir[dir];
     if (!f.replay.empty() && !f.replay_event.scheduled()) {
-        dirs_[dir].tx_q->schedule(f.replay_event,
-                                  dirs_[dir].tx_q->now() +
-                                      fault_->replay_timeout);
+        schedule(f.replay_event, now() + fault_->replay_timeout);
     }
 }
 
 void PcieLink::fault_transmit(unsigned side, TlpPtr tlp)
 {
-    Direction& d = dirs_[side];
     FaultDir& f = fault_->dir[side];
     if (f.link_failed) {
         // Direction declared dead: swallow the TLP, return its credits so
         // upstream queues drain, and let completion timeouts surface the
         // loss.
-        if (boundary_) {
-            ++f.sh_dead;
-        } else {
-            ++fault_->dead;
-        }
+        ++fault_->dead;
         synthesize_credits(side, 1, tlp->payload_bytes());
         return;
     }
     tlp->dl_seq = f.next_seq++;
     ReplayEntry e;
-    e.first_tx = e.ack_base = d.tx_q->now();
+    e.first_tx = e.ack_base = now();
     e.seq = tlp->dl_seq;
     e.hdr_cost = 1;
     e.data_cost = tlp->payload_bytes();
@@ -368,16 +252,12 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
 {
     Direction& d = dirs_[side];
     FaultDir& f = fault_->dir[side];
-    const Tick start = std::max(d.tx_q->now(), d.busy_until);
+    const Tick start = std::max(now(), d.busy_until);
 
     // A downed link transmits nothing: the TLP stays in the replay buffer
     // and the replay timer re-sends it after the retrain.
     if (in_window(f.down, f.tx_down_idx, start)) {
-        if (boundary_) {
-            ++f.sh_dropped_tx;
-        } else {
-            ++fault_->dropped;
-        }
+        ++fault_->dropped;
         return 0;
     }
 
@@ -390,11 +270,7 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
     }
     tlp->dl_corrupt = corrupt;
     if (corrupt) {
-        if (boundary_) {
-            ++f.sh_corrupted;
-        } else {
-            ++fault_->corrupted;
-        }
+        ++fault_->corrupted;
     }
 
     const std::uint64_t bytes = wire_bytes(*tlp);
@@ -404,15 +280,6 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
     d.busy_ticks += ser;
     const Tick arrival = d.busy_until + prop_ticks_;
 
-    if (boundary_) {
-        if (!is_replay) {
-            d.sh_tlps += 1;
-            d.sh_payload += tlp->payload_bytes();
-            d.sh_wire += bytes;
-        }
-        d.staged_tlps.push_back(InFlight{arrival, std::move(tlp)});
-        return arrival + prop_ticks_;
-    }
     if (!is_replay) {
         ++tlps_;
         payload_bytes_ += tlp->payload_bytes();
@@ -420,7 +287,7 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
     }
     d.in_flight.push_back(InFlight{arrival, std::move(tlp)});
     if (!d.deliver_event.scheduled()) {
-        d.rx_q->schedule_express(d.deliver_event, arrival);
+        eq().schedule_express(d.deliver_event, arrival);
     }
     return arrival + prop_ticks_;
 }
@@ -428,19 +295,9 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
 bool PcieLink::fault_accept(unsigned dir, Tlp& tlp, Tick arrival)
 {
     FaultDir& f = fault_->dir[dir];
-    const auto drop = [&] {
-        if (boundary_) {
-            ++f.sh_dropped_rx;
-        } else {
-            ++fault_->dropped;
-        }
-    };
+    const auto drop = [&] { ++fault_->dropped; };
     const auto nak = [&] {
-        if (boundary_) {
-            ++f.sh_naks;
-        } else {
-            ++fault_->naks;
-        }
+        ++fault_->naks;
         f.nak_armed = true;
         queue_dll(dir, DllRecord{arrival + prop_ticks_, f.expect_seq, true});
     };
@@ -477,12 +334,7 @@ void PcieLink::queue_dll(unsigned dir, DllRecord rec)
 {
     // Called by direction `dir`'s receiver; the record travels back to
     // the transmit side, arriving a propagation delay later.
-    Direction& d = dirs_[dir];
     FaultDir& f = fault_->dir[dir];
-    if (boundary_) {
-        f.staged_dll.push_back(rec);
-        return;
-    }
     const bool nak = rec.nak;
     f.dll.push_back(rec);
     if (nak) {
@@ -494,17 +346,16 @@ void PcieLink::queue_dll(unsigned dir, DllRecord rec)
     if ((nak || f.replay_starved) && !f.dll_event.scheduled()) {
         // Clamp: the front record can be a stale, lazily-unharvested ACK
         // whose arrival tick is already in the past.
-        d.tx_q->schedule_express(
-            f.dll_event, std::max(d.tx_q->now(), f.dll.front().arrival));
+        eq().schedule_express(f.dll_event,
+                              std::max(now(), f.dll.front().arrival));
     }
 }
 
 bool PcieLink::harvest_acks(unsigned dir)
 {
-    Direction& d = dirs_[dir];
     FaultDir& f = fault_->dir[dir];
     bool freed = false;
-    while (!f.dll.empty() && f.dll.front().arrival <= d.tx_q->now()) {
+    while (!f.dll.empty() && f.dll.front().arrival <= now()) {
         const DllRecord rec = f.dll.take_front();
         while (!f.replay.empty() && f.replay.front().seq < rec.seq) {
             const ReplayEntry& e = f.replay.front();
@@ -538,23 +389,15 @@ void PcieLink::do_replay(unsigned dir, std::uint64_t from_seq)
             // Replay budget exhausted: this TLP is gone for good and the
             // direction can never re-sync its sequence — latch it failed
             // so later traffic fast-fails instead of storming.
-            if (boundary_) {
-                ++f.sh_dead;
-            } else {
-                ++fault_->dead;
-            }
+            ++fault_->dead;
             synthesize_credits(dir, e.hdr_cost, e.data_cost);
             f.link_failed = true;
             f.replay.erase_at(i);
             break; // the flush below retires whatever is left
         }
         ++e.tries;
-        e.ack_base = dirs_[dir].tx_q->now();
-        if (boundary_) {
-            ++f.sh_replays;
-        } else {
-            ++fault_->replays;
-        }
+        e.ack_base = now();
+        ++fault_->replays;
         TlpPtr clone = tlp_pool().make();
         *clone = e.tlp;
         const Tick ack_due =
@@ -568,11 +411,7 @@ void PcieLink::do_replay(unsigned dir, std::uint64_t from_seq)
         // Flush what's left: a failed direction keeps nothing alive.
         while (!f.replay.empty()) {
             const ReplayEntry& e = f.replay.front();
-            if (boundary_) {
-                ++f.sh_dead;
-            } else {
-                ++fault_->dead;
-            }
+            ++fault_->dead;
             synthesize_credits(dir, e.hdr_cost, e.data_cost);
             f.replay.pop_front();
         }
@@ -582,7 +421,6 @@ void PcieLink::do_replay(unsigned dir, std::uint64_t from_seq)
 
 void PcieLink::process_dll(unsigned dir)
 {
-    Direction& d = dirs_[dir];
     FaultDir& f = fault_->dir[dir];
     const bool was_starved = f.replay_starved;
     const bool freed = harvest_acks(dir);
@@ -596,14 +434,13 @@ void PcieLink::process_dll(unsigned dir)
     }
     if (!f.dll.empty() && (f.naks_pending > 0 || f.replay_starved) &&
         !f.dll_event.scheduled()) {
-        d.tx_q->schedule_express(
-            f.dll_event, std::max(d.tx_q->now(), f.dll.front().arrival));
+        eq().schedule_express(f.dll_event,
+                              std::max(now(), f.dll.front().arrival));
     }
 }
 
 void PcieLink::replay_timer(unsigned dir)
 {
-    Direction& d = dirs_[dir];
     FaultDir& f = fault_->dir[dir];
     const bool was_starved = f.replay_starved;
     const bool freed = harvest_acks(dir);
@@ -617,7 +454,7 @@ void PcieLink::replay_timer(unsigned dir)
         return;
     }
     const Tick due = f.replay.front().ack_base + fault_->replay_timeout;
-    if (due <= d.tx_q->now()) {
+    if (due <= now()) {
         // Nothing ACKed the oldest entry in a full timeout: the receiver
         // never saw it (link-down loss, lost to a dead window) — replay
         // the whole buffer.
@@ -626,7 +463,7 @@ void PcieLink::replay_timer(unsigned dir)
     if (!f.replay.empty() && !f.replay_event.scheduled()) {
         const Tick next =
             f.replay.front().ack_base + fault_->replay_timeout;
-        d.tx_q->schedule(f.replay_event, std::max(next, d.tx_q->now()));
+        schedule(f.replay_event, std::max(next, now()));
     }
 }
 
@@ -643,18 +480,14 @@ void PcieLink::retrain(unsigned dir)
     d.credit_returns.clear();
     ports_[dir].tx_hdr_credits_ = params_.hdr_credits;
     ports_[dir].tx_data_credits_ = params_.data_credit_bytes;
-    if (boundary_) {
-        ++f.sh_retrains;
-    } else {
-        ++fault_->retrains;
-    }
+    ++fault_->retrains;
     d.tx_starved = false;
     PciePort& tx = ports_[dir];
     ensure(tx.node_ != nullptr, name(), ": unattached PCIe port");
     tx.node_->credit_avail(tx.node_port_idx_);
     ++f.retrain_idx;
     if (f.retrain_idx < f.down.size()) {
-        d.tx_q->schedule(f.retrain_event, f.down[f.retrain_idx].second);
+        schedule(f.retrain_event, f.down[f.retrain_idx].second);
     }
 }
 
@@ -668,23 +501,12 @@ void PcieLink::transmit(unsigned from_side, TlpPtr tlp)
     Direction& d = dirs_[from_side];
 
     const std::uint64_t bytes = wire_bytes(*tlp);
-    const Tick start = std::max(d.tx_q->now(), d.busy_until);
+    const Tick start = std::max(now(), d.busy_until);
     const Tick ser =
         static_cast<Tick>(static_cast<double>(bytes) * ser_ps_per_byte_);
     d.busy_until = start + ser;
     d.busy_ticks += ser;
     const Tick arrival = d.busy_until + prop_ticks_;
-
-    if (boundary_) {
-        // Cross-domain: stage on the transmit side. The arrival is at
-        // least a propagation delay (>= the barrier quantum) away, so the
-        // barrier that injects it always precedes the delivery window.
-        d.sh_tlps += 1;
-        d.sh_payload += tlp->payload_bytes();
-        d.sh_wire += bytes;
-        d.staged_tlps.push_back(InFlight{arrival, std::move(tlp)});
-        return;
-    }
 
     ++tlps_;
     payload_bytes_ += tlp->payload_bytes();
@@ -692,7 +514,7 @@ void PcieLink::transmit(unsigned from_side, TlpPtr tlp)
 
     d.in_flight.push_back(InFlight{arrival, std::move(tlp)});
     if (!d.deliver_event.scheduled()) {
-        d.rx_q->schedule_express(d.deliver_event, arrival);
+        eq().schedule_express(d.deliver_event, arrival);
     }
 }
 
@@ -700,7 +522,7 @@ void PcieLink::deliver(unsigned dir)
 {
     Direction& d = dirs_[dir];
     while (!d.in_flight.empty() &&
-           d.in_flight.front().arrival <= d.rx_q->now()) {
+           d.in_flight.front().arrival <= now()) {
         const Tick arrival = d.in_flight.front().arrival;
         TlpPtr tlp = std::move(d.in_flight.front().tlp);
         d.in_flight.pop_front();
@@ -712,8 +534,7 @@ void PcieLink::deliver(unsigned dir)
         rx.node_->recv_tlp(rx.node_port_idx_, std::move(tlp));
     }
     if (!d.in_flight.empty()) {
-        d.rx_q->schedule_express(d.deliver_event,
-                                 d.in_flight.front().arrival);
+        eq().schedule_express(d.deliver_event, d.in_flight.front().arrival);
     }
 }
 
@@ -721,22 +542,17 @@ void PcieLink::queue_credit_return(unsigned to_side, unsigned hdr,
                                    std::uint64_t data)
 {
     // Direction index named by the side whose transmitter gets the credits.
-    // Called by that direction's *receiver* (release_ingress), so the
-    // clock — and in boundary mode the staging ring — is the rx side's.
+    // Called by that direction's *receiver* (release_ingress).
     if (test_credit_leak_[to_side]) {
         return; // test hook: the peer "lost" this release
     }
     Direction& d = dirs_[to_side];
-    const Tick arrival = d.rx_q->now() + prop_ticks_;
-    if (boundary_) {
-        d.staged_credits.push_back(CreditReturn{arrival, hdr, data});
-        return;
-    }
+    const Tick arrival = now() + prop_ticks_;
     d.credit_returns.push_back(CreditReturn{arrival, hdr, data});
     // Lazy accounting: an unstarved transmitter harvests this return the
     // next time it probes can_send(); only a starved one needs the event.
     if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        d.tx_q->schedule_express(d.credit_event, arrival);
+        eq().schedule_express(d.credit_event, arrival);
     }
 }
 
@@ -744,7 +560,7 @@ void PcieLink::harvest_credits(unsigned side)
 {
     Direction& d = dirs_[side];
     while (!d.credit_returns.empty() &&
-           d.credit_returns.front().arrival <= d.tx_q->now()) {
+           d.credit_returns.front().arrival <= now()) {
         const CreditReturn cr = d.credit_returns.front();
         d.credit_returns.pop_front();
         ports_[side].tx_hdr_credits_ += cr.hdr;
@@ -778,9 +594,8 @@ bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
             // exist).
             f.replay_starved = true;
             if (!f.dll.empty() && !f.dll_event.scheduled()) {
-                dirs_[side].tx_q->schedule_express(
-                    f.dll_event, std::max(dirs_[side].tx_q->now(),
-                                          f.dll.front().arrival));
+                eq().schedule_express(
+                    f.dll_event, std::max(now(), f.dll.front().arrival));
             }
             return false;
         }
@@ -795,8 +610,8 @@ bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
         Direction& d = dirs_[side];
         d.tx_starved = true;
         if (!d.credit_returns.empty() && !d.credit_event.scheduled()) {
-            d.tx_q->schedule_express(d.credit_event,
-                                     d.credit_returns.front().arrival);
+            eq().schedule_express(d.credit_event,
+                                  d.credit_returns.front().arrival);
         }
     }
     return false;
@@ -808,7 +623,7 @@ void PcieLink::credit(unsigned dir)
     const bool was_starved = d.tx_starved;
     bool granted = false;
     while (!d.credit_returns.empty() &&
-           d.credit_returns.front().arrival <= d.tx_q->now()) {
+           d.credit_returns.front().arrival <= now()) {
         const CreditReturn cr = d.credit_returns.front();
         d.credit_returns.pop_front();
         ports_[dir].tx_hdr_credits_ += cr.hdr;
@@ -835,8 +650,8 @@ void PcieLink::credit(unsigned dir)
     }
     if (!d.credit_returns.empty() &&
         (eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        d.tx_q->schedule_express(d.credit_event,
-                                 d.credit_returns.front().arrival);
+        eq().schedule_express(d.credit_event,
+                              d.credit_returns.front().arrival);
     }
 }
 
@@ -854,12 +669,6 @@ void PcieLink::serialize(Ckpt& ar)
         ar.io(port.tx_hdr_credits_, port.tx_data_credits_);
     }
     for (Direction& d : dirs_) {
-        // Boundary staging and stat shadows are drained by the barrier
-        // flush that precedes every parallel checkpoint (and never used
-        // serially), so they are not part of the format.
-        ensure(d.staged_tlps.empty() && d.staged_credits.empty() &&
-                   d.sh_tlps == 0,
-               name(), ": checkpoint with unflushed boundary staging");
         ar.io(d.busy_until, d.busy_ticks, d.tx_starved);
         std::uint64_t n_credits = d.credit_returns.size();
         std::uint64_t n_flight = d.in_flight.size();
@@ -885,24 +694,18 @@ void PcieLink::serialize(Ckpt& ar)
             for (std::uint64_t i = 0; i < n_flight; ++i) {
                 InFlight f{};
                 ar.io(f.arrival);
-                // Materialize into the receiving domain's pool, exactly
-                // where the live TLP was drawn from (flush_boundary).
-                f.tlp = d.rx_pool->make();
+                f.tlp = tlp_pool().make();
                 f.tlp->serialize(ar);
                 d.in_flight.push_back(std::move(f));
             }
         }
-        d.credit_event.serialize(ar, *d.tx_q);
-        d.deliver_event.serialize(ar, *d.rx_q);
+        d.credit_event.serialize(ar, eq());
+        d.deliver_event.serialize(ar, eq());
     }
     if (fault_ == nullptr) {
         return; // same config => same plan presence on both sides
     }
-    for (unsigned s = 0; s < 2; ++s) {
-        Direction& d = dirs_[s];
-        FaultDir& f = fault_->dir[s];
-        ensure(f.staged_dll.empty() && f.sh_replays == 0,
-               name(), ": checkpoint with unflushed DLL staging");
+    for (FaultDir& f : fault_->dir) {
         f.rng.serialize(ar);
         ar.io(f.link_failed, f.next_seq, f.naks_pending, f.replay_starved,
               f.recovery_ticks, f.expect_seq, f.nak_armed);
@@ -945,9 +748,9 @@ void PcieLink::serialize(Ckpt& ar)
                 f.dll.push_back(rec);
             }
         }
-        f.dll_event.serialize(ar, *d.tx_q);
-        f.replay_event.serialize(ar, *d.tx_q);
-        f.retrain_event.serialize(ar, *d.tx_q);
+        f.dll_event.serialize(ar, eq());
+        f.replay_event.serialize(ar, eq());
+        f.retrain_event.serialize(ar, eq());
     }
 }
 

@@ -122,8 +122,7 @@ class PciePort {
     [[nodiscard]] std::uint64_t data_credits() const;
 
     /// This side's transmit direction has latched failed (replay budget
-    /// exhausted). Reads only the tx-side latch the attached node's domain
-    /// thread owns; always false on clean links.
+    /// exhausted). Always false on clean links.
     [[nodiscard]] bool tx_failed() const;
 
   private:
@@ -195,28 +194,8 @@ class PcieLink final : public SimObject {
     /// Observed utilisation of direction a->b / b->a so far (0..1).
     [[nodiscard]] double utilization(unsigned dir) const;
 
-    /// Propagation delay in ticks — the cross-domain lookahead this link
-    /// contributes when it forms a simulation-domain boundary.
-    [[nodiscard]] Tick prop_ticks() const noexcept { return prop_ticks_; }
-
-    /// Mark this link as a simulation-domain boundary. `a_queue`/`b_queue`
-    /// are the event queues of the domains owning end_a / end_b, and
-    /// `a_pool`/`b_pool` the TLP pools traffic delivered *toward* each end
-    /// is re-materialized into at barriers. From here on, each direction's
-    /// cross-thread transfers (TLP handoffs, credit returns, the shared
-    /// stat counters) stage in thread-confined buffers until
-    /// flush_boundary() injects them — all timing derived from the staged
-    /// arrival ticks, so results match the serial link exactly.
-    void set_boundary(EventQueue& a_queue, TlpPool& a_pool,
-                      EventQueue& b_queue, TlpPool& b_pool);
-
-    /// Inject staged cross-domain traffic; root thread only, every domain
-    /// quiesced (run from a Simulator barrier hook, in registration
-    /// order). Returns the number of TLP handoffs injected.
-    std::uint64_t flush_boundary();
-
     /// Arms the per-direction retrain events for scheduled link-down
-    /// windows (fault model only; boundary wiring is final by startup).
+    /// windows (fault model only).
     void startup() override;
 
     /// Checkpoint/restore wire state: per-side transmit credits, in-flight
@@ -246,16 +225,8 @@ class PcieLink final : public SimObject {
         std::uint64_t data;
     };
 
-    /// Per-direction state, split by owning thread in boundary mode: the
-    /// transmit group is only touched by the domain that owns the sending
-    /// end, the receive group by the domain that owns the delivering end
-    /// (the alignas keeps the two groups off one cache line). The root
-    /// thread touches both groups, but only in flush_boundary() while
-    /// every domain is quiesced. In serial mode tx_q == rx_q == eq() and
-    /// the staging buffers stay empty.
-    struct alignas(64) Direction {
-        // --- transmit side (owned by the sending domain's thread) -------
-        EventQueue* tx_q = nullptr;
+    /// Per-direction state.
+    struct Direction {
         Tick busy_until = 0;
         std::uint64_t busy_ticks = 0; ///< for utilisation stats
         RingBuffer<CreditReturn> credit_returns;
@@ -263,23 +234,8 @@ class PcieLink final : public SimObject {
         /// A can_send() probe on this side failed: schedule the pending
         /// credit kick instead of harvesting lazily.
         bool tx_starved = false;
-        /// Boundary staging: TLPs sent this window, awaiting injection
-        /// into the receive side at the barrier.
-        RingBuffer<InFlight> staged_tlps;
-        // Shadows of the link-level Scalars (which both directions share
-        // and so cannot be bumped from two threads); folded exactly into
-        // the Scalars at every flush.
-        std::uint64_t sh_tlps = 0;
-        std::uint64_t sh_payload = 0;
-        std::uint64_t sh_wire = 0;
-        // --- receive side (owned by the delivering domain's thread) -----
-        alignas(64) EventQueue* rx_q = nullptr;
-        TlpPool* rx_pool = nullptr;
         RingBuffer<InFlight> in_flight;
         Event deliver_event;
-        /// Boundary staging: credit returns released by the receiver this
-        /// window, bound for the transmit side's `credit_returns`.
-        RingBuffer<CreditReturn> staged_credits;
     };
 
     // --- fault model (allocated only when a FaultPlan is active) -----------
@@ -311,11 +267,8 @@ class PcieLink final : public SimObject {
         Tlp tlp;
     };
 
-    /// Per-direction fault/recovery state with the same thread-ownership
-    /// split as Direction: the transmit group belongs to the sending
-    /// domain, the receive group to the delivering domain; the root
-    /// thread touches both only in flush_boundary() while quiesced.
-    struct alignas(64) FaultDir {
+    /// Per-direction fault/recovery state.
+    struct FaultDir {
         // --- transmit side -----------------------------------------------
         Rng rng;            ///< per-(site, dir) corruption stream
         bool rate_on = false;
@@ -333,24 +286,13 @@ class PcieLink final : public SimObject {
         std::vector<std::pair<Tick, Tick>> down; ///< link-down windows
         std::size_t tx_down_idx = 0;
         std::size_t retrain_idx = 0;
-        // Boundary-mode stat shadows (transmit side).
-        std::uint64_t sh_corrupted = 0;
-        std::uint64_t sh_replays = 0;
-        std::uint64_t sh_dropped_tx = 0;
-        std::uint64_t sh_dead = 0;
-        std::uint64_t sh_retrains = 0;
-        /// Summed first-transmit-to-ACK ticks of replayed TLPs. Not a
-        /// shadow: accumulated in integer ticks on the transmit side and
-        /// read only at dump time (the recovery_ns ValueFn), so serial
-        /// and parallel runs sum in the same exact arithmetic.
+        /// Summed first-transmit-to-ACK ticks of replayed TLPs, in exact
+        /// integer ticks (read at dump time by the recovery_ns ValueFn).
         std::uint64_t recovery_ticks = 0;
         // --- receive side ------------------------------------------------
-        alignas(64) std::uint64_t expect_seq = 0;
+        std::uint64_t expect_seq = 0;
         bool nak_armed = false; ///< NAK sent, replay not yet seen
         std::size_t rx_down_idx = 0;
-        RingBuffer<DllRecord> staged_dll; ///< boundary staging, rx-owned
-        std::uint64_t sh_naks = 0;
-        std::uint64_t sh_dropped_rx = 0;
     };
 
     struct FaultState {
@@ -366,8 +308,7 @@ class PcieLink final : public SimObject {
     void fault_transmit(unsigned side, TlpPtr tlp);
     /// One wire attempt (first transmission or replay): rolls the
     /// corruption decision, drops during down windows, serializes and
-    /// stages/queues delivery.
-    /// One wire attempt (original or replay). Returns the tick the
+    /// queues delivery. Returns the tick the
     /// transmitter should expect the receiver's ACK back — arrival plus
     /// the return propagation — or 0 when the attempt hit a down window
     /// and transmitted nothing.
@@ -399,7 +340,6 @@ class PcieLink final : public SimObject {
 
     LinkParams params_;
     bool eager_credits_ = false; ///< ACCESYS_EAGER_CREDITS escape hatch
-    bool boundary_ = false;      ///< set by set_boundary()
     // Serialization/propagation constants hoisted out of the per-TLP path
     // (FP divides are too expensive to re-derive per packet).
     double ser_ps_per_byte_ = 0.0;

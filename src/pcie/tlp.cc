@@ -33,9 +33,6 @@ TlpPool& TlpPool::global()
     return *pool;
 }
 
-thread_local TlpPool* TlpPool::current_ = nullptr;
-std::atomic<std::uint64_t> TlpPool::lifetime_allocs_{0};
-
 void Tlp::serialize(Ckpt& ar)
 {
     ar.io(type, addr, length, tag, requester, byte_offset, is_last, dl_seq,
@@ -59,7 +56,7 @@ void ckpt_tlp(Ckpt& ar, TlpPtr& tlp)
         return;
     }
     if (ar.loading()) {
-        tlp = TlpPool::current().make();
+        tlp = tlp_pool().make();
     }
     tlp->serialize(ar);
 }

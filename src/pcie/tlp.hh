@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -244,7 +243,6 @@ class TlpPool {
         ++acquires_total_;
         if (free_.empty()) {
             ++allocs_total_;
-            lifetime_allocs_.fetch_add(1, std::memory_order_relaxed);
             Tlp* t = new Tlp();
             t->pool_ = this;
             return TlpPtr(t);
@@ -320,33 +318,11 @@ class TlpPool {
         return acquires_total_ - recycles_total_;
     }
 
+    /// The process-wide pool behind tlp_pool() and the make_* shorthands.
     [[nodiscard]] static TlpPool& global();
-
-    /// The calling thread's current pool: the process-wide pool by
-    /// default, or the simulation domain's own pool while one is
-    /// installed (by TopologyBuilder during domain construction and by
-    /// the domain's worker thread before each window). Every runtime
-    /// `tlp_pool()` shorthand resolves through here, so allocation stays
-    /// thread-confined under the parallel event core.
-    [[nodiscard]] static TlpPool& current()
-    {
-        return current_ != nullptr ? *current_ : global();
-    }
-    static void set_current(TlpPool* pool) noexcept { current_ = pool; }
-
-    /// Heap allocations across every pool in the process lifetime (the
-    /// cold path only). perf_baseline's zero-steady-state-allocation gate
-    /// sums over domains through this instead of one pool's counter.
-    [[nodiscard]] static std::uint64_t lifetime_allocs() noexcept
-    {
-        return lifetime_allocs_.load(std::memory_order_relaxed);
-    }
 
   private:
     friend struct TlpDeleter;
-
-    static thread_local TlpPool* current_;
-    static std::atomic<std::uint64_t> lifetime_allocs_;
 
     void recycle(Tlp* tlp) noexcept
     {
@@ -364,11 +340,10 @@ class TlpPool {
     std::uint64_t recycles_total_ = 0;
 };
 
-/// The calling thread's current TLP pool (the process-wide pool unless a
-/// simulation domain's pool is installed — see TlpPool::current()).
+/// The process-wide TLP pool.
 [[nodiscard]] inline TlpPool& tlp_pool()
 {
-    return TlpPool::current();
+    return TlpPool::global();
 }
 
 inline void TlpDeleter::operator()(Tlp* tlp) const noexcept
@@ -387,13 +362,13 @@ inline void TlpDeleter::operator()(Tlp* tlp) const noexcept
                                           std::uint8_t tag,
                                           std::uint16_t requester)
 {
-    return TlpPool::current().make_mem_read(addr, length, tag, requester);
+    return tlp_pool().make_mem_read(addr, length, tag, requester);
 }
 
 [[nodiscard]] inline TlpPtr make_mem_write(Addr addr, std::uint32_t length,
                                            std::uint16_t requester)
 {
-    return TlpPool::current().make_mem_write(addr, length, requester);
+    return tlp_pool().make_mem_write(addr, length, requester);
 }
 
 [[nodiscard]] inline TlpPtr make_completion(std::uint32_t length,
@@ -402,14 +377,13 @@ inline void TlpDeleter::operator()(Tlp* tlp) const noexcept
                                             std::uint32_t byte_offset,
                                             bool is_last)
 {
-    return TlpPool::current().make_completion(length, tag, requester,
-                                              byte_offset, is_last);
+    return tlp_pool().make_completion(length, tag, requester, byte_offset,
+                                      is_last);
 }
 
 /// Checkpoint/restore an owning TLP slot, empty or occupied. On load an
-/// occupied slot re-materializes from the calling thread's current pool —
-/// the restoring component's own domain pool — preserving the
-/// zero-steady-state-allocation property for the resumed run.
+/// occupied slot re-materializes from the process-wide pool, preserving
+/// the zero-steady-state-allocation property for the resumed run.
 void ckpt_tlp(Ckpt& ar, TlpPtr& tlp);
 
 } // namespace accesys::pcie

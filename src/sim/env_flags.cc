@@ -18,10 +18,6 @@ EnvFlags read_env()
     if (const char* v = std::getenv("ACCESYS_CKPT")) {
         f.ckpt = v[0] != '0';
     }
-    if (const char* t = std::getenv("ACCESYS_THREADS")) {
-        const long n = std::strtol(t, nullptr, 10);
-        f.threads = n > 1 ? static_cast<unsigned>(n) : 1;
-    }
     return f;
 }
 

@@ -1,18 +1,15 @@
 // Construction-time snapshot of every ACCESYS_* environment knob.
 //
-// Hot paths must never call getenv(): libc walks `environ` on every call,
-// and reading the environment from multiple simulation threads is UB once
-// anything mutates it. All runtime escape hatches are therefore read
-// exactly once, the first time any component asks, and cached as plain
-// flags. Components capture the values they need at construction time, so
-// a knob flipped mid-process has no effect — which is also the only
-// thread-safe semantics available.
+// Hot paths must never call getenv(): libc walks `environ` on every call.
+// All runtime escape hatches are therefore read exactly once, the first
+// time any component asks, and cached as plain flags. Components capture
+// the values they need at construction time, so a knob flipped
+// mid-process has no effect.
 //
 // Knobs:
 //   ACCESYS_NO_BATCH=1       disable same-tick batched dispatch
 //   ACCESYS_NO_HOP_FUSION=1  disable the event-queue express lane
 //   ACCESYS_EAGER_CREDITS=1  per-return PCIe credit events (lazy default)
-//   ACCESYS_THREADS=N        simulation worker threads (default 1 = serial)
 //   ACCESYS_FAULTS=0         ignore any configured FaultPlan (escape hatch)
 //   ACCESYS_CKPT=0           ignore checkpoint requests: --ckpt-at-ns and
 //                            watchdog/signal snapshots become no-ops
@@ -27,7 +24,6 @@ struct EnvFlags {
     bool eager_credits = false;
     bool faults = true;
     bool ckpt = true;
-    unsigned threads = 1;
 
     /// The process-wide snapshot (taken on first use, immutable after —
     /// except via set_for_test).

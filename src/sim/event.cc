@@ -85,7 +85,7 @@ void EventQueue::restore_event(Event& ev)
     ++restored_count_;
 }
 
-std::uint64_t EventQueue::dispatch_tick(const bool* stop)
+std::uint64_t EventQueue::dispatch_tick(const std::atomic<bool>* stop)
 {
     const Tick t = near_at(0).when();
     ensure(t >= now_, "event heap corrupted");
@@ -128,7 +128,8 @@ std::uint64_t EventQueue::dispatch_tick(const bool* stop)
         }
         ev.invoke_(ev.ctx_);
         ++n;
-        if (stop != nullptr && *stop) [[unlikely]] {
+        if (stop != nullptr && stop->load(std::memory_order_relaxed))
+            [[unlikely]] {
             // Return the unexecuted remainder so the next drain() resumes
             // in exact order (see spill_batch_remainder for the invariant).
             spill_batch_remainder(batch_pos_ + 1);
@@ -206,11 +207,12 @@ std::uint64_t EventQueue::run(Tick max_tick)
     return n;
 }
 
-EventQueue::DrainOutcome EventQueue::drain(Tick max_tick, const bool& stop,
+EventQueue::DrainOutcome EventQueue::drain(Tick max_tick,
+                                           const std::atomic<bool>& stop,
                                            std::uint64_t& executed)
 {
     for (;;) {
-        if (stop) {
+        if (stop.load(std::memory_order_relaxed)) {
             return DrainOutcome::stopped;
         }
         if (express_pending_) {

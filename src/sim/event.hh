@@ -45,6 +45,7 @@
 //     the full probe once per tick instead of once per push.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -164,8 +165,7 @@ class EventQueue {
     {
         heap_.reserve(64);
         // Cached process-wide snapshot (sim/env_flags.hh): no getenv() on
-        // any path, and every queue — root or domain — agrees by
-        // construction.
+        // any path.
         batch_enabled_ = !env_flags().no_batch;
         fusion_enabled_ = !env_flags().no_hop_fusion;
     }
@@ -301,11 +301,13 @@ class EventQueue {
     /// (events at exactly `max_tick` still run). Returns events processed.
     std::uint64_t run(Tick max_tick = kMaxTick);
 
-    /// Batched driver loop: like run(), but checks `*stop` after every
+    /// Batched driver loop: like run(), but checks `stop` after every
     /// event (request_exit semantics) and reports why it returned.
-    /// `executed` accumulates the events dispatched by this call.
+    /// `executed` accumulates the events dispatched by this call. `stop`
+    /// may be raised from another thread or a signal handler; it is read
+    /// with relaxed order (a plain load on x86).
     enum class DrainOutcome { stopped, horizon, drained };
-    DrainOutcome drain(Tick max_tick, const bool& stop,
+    DrainOutcome drain(Tick max_tick, const std::atomic<bool>& stop,
                        std::uint64_t& executed);
 
     /// Total events executed since construction.
@@ -385,23 +387,6 @@ class EventQueue {
     /// Clock + schedule counter + saved live-entry count. Load side must
     /// run after restore_begin() and before any component section.
     void serialize_clock(Ckpt& ar);
-
-    /// Cross-layout restore: seed this queue's clock and schedule counter
-    /// directly when the snapshot was taken under a different domain
-    /// carve (no per-queue record maps onto it). Seeding the saving
-    /// process's maximum sequence makes every post-resume schedule order
-    /// after every restored key, exactly as it would have there.
-    void seed_clock(Tick now, std::uint64_t seq) noexcept
-    {
-        now_ = now;
-        next_seq_ = seq;
-    }
-
-    /// Monotonic schedule-sequence counter (tie-break + generation stamp).
-    [[nodiscard]] std::uint64_t next_seq() const noexcept
-    {
-        return next_seq_;
-    }
 
     /// Dispatch-path counters. Load side must run after every component
     /// section (restoration itself bumps them; the saved values win).
@@ -837,7 +822,7 @@ class EventQueue {
     /// refresh_top() returned true. When `stop` is non-null, dispatching
     /// pauses after the event that sets it (the remainder is spilled back
     /// to the heap, preserving order). Returns events executed.
-    std::uint64_t dispatch_tick(const bool* stop);
+    std::uint64_t dispatch_tick(const std::atomic<bool>* stop);
 
     /// Loop-top express slot arbitration for run()/drain(); see event.cc.
     void express_step(Tick max_tick, bool& dispatched, bool& horizon);

@@ -12,12 +12,9 @@
 // seeded from (plan.seed, site_id, channel).
 //
 // Determinism contract: sites are registered in topology construction
-// order, which is single-threaded and independent of ACCESYS_THREADS, and
-// each direction's stream is drawn only by the domain thread that owns
-// that direction's transmit side. A fixed plan therefore produces
-// bit-identical results for any worker-thread count (locked by
-// test_pool_determinism). ACCESYS_FAULTS=0 disables the whole subsystem —
-// a populated plan then behaves exactly like an absent one.
+// order, so a fixed plan produces bit-identical results run to run (locked
+// by test_pool_determinism). ACCESYS_FAULTS=0 disables the whole subsystem
+// — a populated plan then behaves exactly like an absent one.
 //
 // With no active plan, no link allocates fault state and no fault stat is
 // registered: the clean hot path and its stats dumps are untouched.

@@ -1,10 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <exception>
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "sim/fault_injector.hh"
 #include "sim/serialize.hh"
@@ -32,13 +29,9 @@ void Simulator::startup()
 
 RunResult Simulator::run(Tick max_tick)
 {
-    if (parallel()) {
-        return run_parallel(max_tick);
-    }
-
     startup();
     exit_requested_ = false;
-    stop_now_ = false;
+    stop_now_.store(false, std::memory_order_relaxed);
     exit_reason_.clear();
 
     RunResult res;
@@ -63,8 +56,8 @@ RunResult Simulator::run(Tick max_tick)
                 break;
             }
             // Async interrupt (signal/watchdog thread) between events.
-            interrupt_posted_ = false;
-            stop_now_ = false;
+            interrupt_posted_.store(false, std::memory_order_relaxed);
+            stop_now_.store(false, std::memory_order_relaxed);
             if (!interrupt_ckpt_path_.empty()) {
                 checkpoint(interrupt_ckpt_path_);
                 res.cause = ExitCause::checkpointed;
@@ -103,388 +96,13 @@ void Simulator::request_checkpoint_at(std::string path, Tick at)
     ckpt_at_ = at;
 }
 
-std::size_t Simulator::begin_domain(std::string label)
+void Simulator::serialize_state(Ckpt& ar)
 {
-    ensure(active_domain_ == nullptr, "nested simulation domains");
-    ensure(!started_, "domain carved after startup");
-    auto d = std::make_unique<Domain>();
-    d->label = std::move(label);
-    d->queue = std::make_unique<EventQueue>();
-    domains_.push_back(std::move(d));
-    active_domain_ = domains_.back().get();
-    return domains_.size() - 1;
-}
-
-void Simulator::end_domain()
-{
-    ensure(active_domain_ != nullptr, "end_domain without begin_domain");
-    active_domain_ = nullptr;
-}
-
-void Simulator::await_domains(std::uint64_t gen) const
-{
-    // Spin with a yield per probe: windows are short and the wait ends
-    // with the peer's release store, but correctness (and the 1-core CI
-    // host) must not depend on having a core per thread.
-    for (const auto& d : domains_) {
-        while (d->done_gen.load(std::memory_order_acquire) < gen) {
-            std::this_thread::yield();
-        }
-    }
-}
-
-void Simulator::sync_functional_reads(Tick t)
-{
-    if (!parallel_running_) {
-        return;
-    }
-    // Every domain publishes its generation only at window completion, so
-    // once this returns no domain appends to its journal until the root
-    // thread releases the next window — the drains below run race-free.
-    await_domains(window_gen_.load(std::memory_order_relaxed));
-    ++stat_fences_;
-    for (auto& d : domains_) {
-        if (d->drain_functional) {
-            d->drain_functional(t);
-        }
-    }
-}
-
-RunResult Simulator::run_parallel(Tick max_tick)
-{
-    startup();
-    exit_requested_ = false;
-    stop_now_ = false;
-    exit_reason_.clear();
-
-    ensure(quantum_ > 0, "parallel run without a cross-domain quantum");
-    const Tick q = quantum_;
-    const std::size_t nd = domains_.size();
-    const auto nworkers =
-        static_cast<unsigned>(std::min<std::size_t>(threads_ - 1, nd));
-
-    for (auto& d : domains_) {
-        d->events = 0;
-        d->done_gen.store(0, std::memory_order_relaxed);
-    }
-    window_gen_.store(0, std::memory_order_relaxed);
-    parallel_running_ = true;
-
-    // Window-release protocol: the root thread writes window_end_, then
-    // bumps window_gen_ (release). Workers spin on window_gen_ (acquire),
-    // run each of their domains up to the window end, and release-publish
-    // the domain's completed generation. The acquire/release pairs carry
-    // every cross-thread happens-before edge; all other cross-domain state
-    // is only touched in the root thread's serial barrier section.
-    std::atomic<bool> quit{false};
-
-    // Exception containment: event callbacks may throw (ensure failures,
-    // liveness diagnostics). A worker publishes the first error, releases
-    // its remaining domain clocks so the root's barrier wait completes,
-    // and exits; the root rethrows after joining everyone — a joinable
-    // std::thread destructor (std::terminate) is never the failure mode.
-    std::mutex err_mu;
-    std::exception_ptr worker_err;
-    std::atomic<bool> err_flag{false};
-
-    auto worker_body = [&, nworkers](unsigned w) {
-        std::uint64_t seen = 0;
-        for (;;) {
-            while (window_gen_.load(std::memory_order_acquire) == seen) {
-                if (quit.load(std::memory_order_acquire)) {
-                    return;
-                }
-                std::this_thread::yield();
-            }
-            ++seen;
-            const Tick wend = window_end_;
-            for (std::size_t i = w; i < nd; i += nworkers) {
-                Domain& dom = *domains_[i];
-                try {
-                    if (dom.install) {
-                        dom.install(); // thread context (domain pools)
-                    }
-                    dom.events += dom.queue->run(wend - 1);
-                } catch (...) {
-                    {
-                        const std::lock_guard<std::mutex> lock(err_mu);
-                        if (!worker_err) {
-                            worker_err = std::current_exception();
-                        }
-                    }
-                    err_flag.store(true, std::memory_order_release);
-                    for (std::size_t j = w; j < nd; j += nworkers) {
-                        domains_[j]->done_gen.store(
-                            seen, std::memory_order_release);
-                    }
-                    return;
-                }
-                dom.done_gen.store(seen, std::memory_order_release);
-            }
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(nworkers);
-    for (unsigned w = 0; w < nworkers; ++w) {
-        workers.emplace_back(worker_body, w);
-    }
-
-    RunResult res;
-    std::uint64_t executed = 0;
-
-    // The window grid is absolute (anchored at tick 0) so window
-    // boundaries — and therefore handoff batching — are identical for
-    // every thread count. The first boundary comes from the slowest
-    // domain clock: every pending event sits at or after it. A restored
-    // run instead continues at the window the uninterrupted run's
-    // skip-ahead would have picked at the checkpoint barrier, so barrier
-    // iteration — and handoff batching — lines up exactly; normal runs
-    // keep the untouched clock-based formula.
-    Tick wend;
-    if (restored_) {
-        restored_ = false;
-        Tick next = queue_.next_event_tick();
-        for (auto& d : domains_) {
-            next = std::min(next, d->queue->next_event_tick());
-        }
-        wend = next == kMaxTick ? align_down(queue_.now(), q) + q
-                                : align_down(next, q) + q;
-    } else {
-        Tick min_now = queue_.now();
-        for (auto& d : domains_) {
-            min_now = std::min(min_now, d->queue->now());
-        }
-        wend = align_down(min_now, q) + q;
-    }
-
-    // Liveness watchdog: consecutive barriers with zero dispatched events
-    // anywhere mean the fabric is wedged (e.g. a leaked credit with no
-    // timer armed); diagnose instead of spinning forever.
-    std::uint64_t last_total = 0;
-    unsigned idle_quanta = 0;
-    bool liveness_tripped = false;
-
-    std::exception_ptr run_err;
-    try {
-    for (;;) {
-        if (max_tick != kMaxTick && wend > max_tick) {
-            wend = max_tick + 1; // final, clipped window
-        }
-        window_end_ = wend;
-        const std::uint64_t gen =
-            window_gen_.fetch_add(1, std::memory_order_release) + 1;
-
-        // The root domain's window runs on this thread, overlapped with
-        // the workers; the stop flag is observed between events exactly
-        // as in the serial loop.
-        EventQueue::DrainOutcome outcome =
-            queue_.drain(wend - 1, stop_now_, executed);
-        bool interrupt_ckpt = false;
-        while (outcome == EventQueue::DrainOutcome::stopped &&
-               !exit_requested_) {
-            // Async interrupt mid-window: a checkpoint is only legal at
-            // the barrier (premature handoff flushes would perturb peer
-            // sequence numbering), so finish the window and snapshot
-            // there.
-            interrupt_posted_ = false;
-            stop_now_ = false;
-            interrupt_ckpt = !interrupt_ckpt_path_.empty();
-            outcome = queue_.drain(wend - 1, stop_now_, executed);
-        }
-
-        await_domains(gen);
-        ++stat_barriers_;
-        if (err_flag.load(std::memory_order_acquire)) {
-            break; // a dead worker publishes no further clocks — rethrow
-        }
-
-        // Serial section: every domain is quiesced. Inject cross-domain
-        // handoffs in registration order, then apply staged functional
-        // writes in domain order — both deterministic.
-        for (auto& hook : barrier_hooks_) {
-            hook();
-        }
-        for (auto& d : domains_) {
-            if (d->drain_functional) {
-                d->drain_functional(wend - 1);
-            }
-        }
-
-        if (outcome == EventQueue::DrainOutcome::stopped) {
-            res.cause = ExitCause::exit_requested;
-            res.exit_reason = exit_reason_;
-            break;
-        }
-
-        // Checkpoint at the barrier: every domain quiesced, handoff
-        // staging flushed, journals drained — the canonical quiescent
-        // point the restore contract is defined at.
-        const bool det_ckpt = ckpt_at_ != kMaxTick && wend > ckpt_at_;
-        if (det_ckpt || interrupt_ckpt) {
-            std::string path =
-                det_ckpt ? std::move(ckpt_path_) : interrupt_ckpt_path_;
-            ckpt_path_.clear();
-            ckpt_at_ = kMaxTick;
-            checkpoint(path);
-            res.cause = ExitCause::checkpointed;
-            res.exit_reason = std::move(path);
-            break;
-        }
-
-        std::uint64_t total = executed;
-        for (auto& d : domains_) {
-            total += d->events;
-        }
-        if (total == last_total && max_idle_quanta_ != 0) {
-            if (++idle_quanta >= max_idle_quanta_) {
-                liveness_tripped = true;
-                break;
-            }
-        } else {
-            idle_quanta = 0;
-            last_total = total;
-        }
-
-        // Skip-ahead: derive the next window from the earliest pending
-        // event anywhere (flushed handoffs included — they are scheduled
-        // by the hooks above). Deterministic: quiesced state only.
-        Tick next = queue_.next_event_tick();
-        for (auto& d : domains_) {
-            next = std::min(next, d->queue->next_event_tick());
-        }
-        if (next == kMaxTick) {
-            res.cause = ExitCause::queue_drained;
-            break;
-        }
-        if (next > max_tick) {
-            res.cause = ExitCause::horizon_reached;
-            if (queue_.now() < max_tick) {
-                queue_.warp_to(max_tick);
-            }
-            for (auto& d : domains_) {
-                if (d->queue->now() < max_tick) {
-                    d->queue->warp_to(max_tick);
-                }
-            }
-            break;
-        }
-        wend = align_down(next, q) + q;
-    }
-    } catch (...) {
-        run_err = std::current_exception();
-    }
-
-    quit.store(true, std::memory_order_release);
-    for (auto& t : workers) {
-        t.join();
-    }
-    parallel_running_ = false;
-
-    if (run_err == nullptr && err_flag.load(std::memory_order_acquire)) {
-        run_err = worker_err; // workers are joined: safe to read unlocked
-    }
-    if (run_err != nullptr) {
-        std::rethrow_exception(run_err);
-    }
-
-    if (liveness_tripped) {
-        // Per-queue clock + earliest pending event: distinguishes a true
-        // wedge (nothing pending anywhere) from a scheduling bug (work
-        // pending that never dispatches).
-        std::string queues;
-        auto describe = [&queues](const std::string& label, EventQueue& eq) {
-            queues += strcat_msg("  ", label, ": now=", eq.now(),
-                                 " next=", eq.next_event_tick(), " (",
-                                 eq.next_event_name(), ")\n");
-        };
-        describe("root", queue_);
-        for (auto& d : domains_) {
-            describe(d->label, *d->queue);
-        }
-        throw SimError(strcat_msg(
-            "liveness watchdog: ", max_idle_quanta_,
-            " consecutive window barriers dispatched zero events (window "
-            "end ",
-            window_end_, "); queues:\n", queues,
-            "component occupancy:\n", occupancy_report()));
-    }
-
-    res.end_tick = queue_.now();
-    res.events = executed;
-    for (auto& d : domains_) {
-        res.events += d->events;
-    }
-    return res;
-}
-
-void Simulator::serialize_sim_clocks(Ckpt& ar)
-{
-    std::uint64_t nd = domains_.size();
-    ar.io(nd);
-    ckpt_layout_match_ = nd == domains_.size();
-    queue_.serialize_clock(ar); // the root record always maps exactly
-    if (ckpt_layout_match_) {
-        for (auto& d : domains_) {
-            d->queue->serialize_clock(ar);
-        }
-        return;
-    }
-    // Snapshot taken under a different thread count: the saved per-domain
-    // records don't map onto this carve. Every domain is quiesced at the
-    // checkpoint, so the records are interchangeable — drain them, then
-    // seed each current domain from the root clock and the maximum saved
-    // schedule sequence (post-resume schedules then order after every
-    // restored key, exactly as they would have in the saving process).
-    // Live-entry verification moves to the global total: the event
-    // population redistributes across queues with the carve.
-    std::uint64_t live_total = queue_.expected_live();
-    std::uint64_t seq = queue_.next_seq();
-    for (std::uint64_t i = 0; i < nd; ++i) {
-        Tick dnow = 0;
-        std::uint64_t dseq = 0;
-        std::uint64_t dlive = 0;
-        ar.io(dnow, dseq, dlive);
-        live_total += dlive;
-        seq = std::max(seq, dseq);
-    }
-    queue_.seed_clock(queue_.now(), seq);
-    for (auto& d : domains_) {
-        d->queue->seed_clock(queue_.now(), seq);
-    }
-    ckpt_live_total_ = live_total;
-}
-
-void Simulator::install_context_for(EventQueue* q)
-{
-    if (q == &queue_) {
-        if (root_install_) {
-            root_install_();
-        }
-        return;
-    }
-    for (auto& d : domains_) {
-        if (d->queue.get() == q) {
-            if (d->install) {
-                d->install();
-            }
-            return;
-        }
-    }
-    panic("component bound to an unknown event queue during restore");
-}
-
-void Simulator::checkpoint(const std::string& path)
-{
-    Ckpt ar;
     ar.begin_section("sim");
-    serialize_sim_clocks(ar);
+    queue_.serialize_clock(ar);
     ar.end_section();
 
-    std::set<std::string> names;
     for (SimObject* obj : objects_) {
-        ensure(names.insert(obj->name()).second,
-               "duplicate component name in checkpoint: ", obj->name());
         ar.begin_section(obj->name());
         obj->serialize(ar);
         ar.end_section();
@@ -497,22 +115,24 @@ void Simulator::checkpoint(const std::string& path)
 
     // Dispatch-path counters last: restoration itself schedules nothing,
     // but re-inserting events bumps heap counters — the saved values win.
-    // Count-prefixed so a restore under a different domain carve can
-    // drain the records it cannot map.
     ar.begin_section("sim.counters");
-    std::uint64_t nq = 1 + domains_.size();
-    ar.io(nq);
     queue_.serialize_counters(ar);
-    for (auto& d : domains_) {
-        d->queue->serialize_counters(ar);
-    }
-    ar.io(stat_barriers_, stat_fences_, stat_handoffs_);
     ar.end_section();
 
     ar.begin_section("stats");
     stats_.serialize(ar);
     ar.end_section();
+}
 
+void Simulator::checkpoint(const std::string& path)
+{
+    std::set<std::string> names;
+    for (const SimObject* obj : objects_) {
+        ensure(names.insert(obj->name()).second,
+               "duplicate component name in checkpoint: ", obj->name());
+    }
+    Ckpt ar;
+    serialize_state(ar);
     ar.write_file(path, config_hash_);
 }
 
@@ -521,87 +141,15 @@ void Simulator::restore(const std::string& path)
     startup();
     Ckpt ar = Ckpt::load_file(path, config_hash_);
 
-    // Wipe every queue: construction/startup-scheduled events are dropped
+    // Wipe the queue: construction/startup-scheduled events are dropped
     // wholesale and each component re-inserts its own pending events with
     // their exact checkpointed keys.
     queue_.restore_begin();
-    for (auto& d : domains_) {
-        d->queue->restore_begin();
-    }
-
-    ar.begin_section("sim");
-    serialize_sim_clocks(ar);
-    ar.end_section();
-
-    // Components restore under their own domain's thread context so pool
-    // re-materialization draws from the correct per-domain pool.
-    EventQueue* ctx = nullptr;
-    for (SimObject* obj : objects_) {
-        if (&obj->eq() != ctx) {
-            ctx = &obj->eq();
-            install_context_for(ctx);
-        }
-        ar.begin_section(obj->name());
-        obj->serialize(ar);
-        ar.end_section();
-    }
-    install_context_for(&queue_);
-    for (CkptHook& hook : ckpt_hooks_) {
-        ar.begin_section(hook.name);
-        hook.fn(ar);
-        ar.end_section();
-    }
-
-    ar.begin_section("sim.counters");
-    std::uint64_t nq = 0;
-    ar.io(nq);
-    if (ckpt_layout_match_) {
-        queue_.serialize_counters(ar);
-        for (auto& d : domains_) {
-            d->queue->serialize_counters(ar);
-        }
-    } else {
-        // Per-queue dispatch counters don't map across a different carve:
-        // drain the saved records into a scratch queue and keep this
-        // process's organic values (they truthfully count restore work).
-        EventQueue scratch;
-        for (std::uint64_t i = 0; i < nq; ++i) {
-            scratch.serialize_counters(ar);
-        }
-    }
-    ar.io(stat_barriers_, stat_fences_, stat_handoffs_);
-    ar.end_section();
-
-    ar.begin_section("stats");
-    stats_.serialize(ar);
-    ar.end_section();
-
-    if (ckpt_layout_match_) {
-        ensure(queue_.restore_complete(), "restore re-inserted ",
-               queue_.restored_count(), " events into the root queue but "
-               "the checkpoint recorded ",
-               queue_.expected_live(), " live entries (a component is "
-               "missing an Event in its serialize())");
-        for (auto& d : domains_) {
-            ensure(d->queue->restore_complete(), "restore re-inserted ",
-                   d->queue->restored_count(), " events into domain '",
-                   d->label, "' but the checkpoint recorded ",
-                   d->queue->expected_live(), " live entries");
-        }
-    } else {
-        // The event population redistributes across queues with the
-        // carve; only the global total is checkable.
-        std::uint64_t restored = queue_.restored_count();
-        for (auto& d : domains_) {
-            restored += d->queue->restored_count();
-        }
-        ensure(restored == ckpt_live_total_, "restore re-inserted ",
-               restored, " events across all queues but the checkpoint "
-               "recorded ",
-               ckpt_live_total_, " live entries (a component is missing "
-               "an Event in its serialize())");
-    }
-    restored_ = true;
+    serialize_state(ar);
+    ensure(queue_.restore_complete(), "restore re-inserted ",
+           queue_.restored_count(), " events but the checkpoint recorded ",
+           queue_.expected_live(), " live entries (a component is missing "
+           "an Event in its serialize())");
 }
 
 std::string Simulator::occupancy_report() const
@@ -624,7 +172,7 @@ void Simulator::detach(SimObject& obj) noexcept
 
 SimObject::SimObject(Simulator& sim, std::string name)
     : sim_(&sim),
-      eq_(&sim.current_queue()),
+      eq_(&sim.queue()),
       name_(std::move(name)),
       stats_(sim.stats(), name_)
 {

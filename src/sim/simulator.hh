@@ -1,27 +1,8 @@
 // Top-level simulation container: event queue + stats registry + run control.
 //
-// Parallel mode (the quantum-synchronized domain core):
-//
-// A Simulator normally owns one EventQueue and dispatches serially. When
-// `set_threads(N>=2)` is called *and* the topology carves simulation
-// domains (TopologyBuilder does this at PCIe downstream-link boundaries),
-// each domain gets its own EventQueue and run() switches to a conservative
-// parallel loop: every domain free-runs an absolute-grid window
-// [T, T+Q) on its own thread (the root domain on the caller's thread),
-// then all domains meet at a barrier. Q — the quantum — is the minimum
-// cross-domain latency (PCIe link propagation delay), so any event a
-// domain schedules into another domain lands at tick >= T+Q: strictly
-// inside a *future* window, published at the barrier. Cross-domain
-// traffic is staged in per-edge buffers during the window and injected by
-// registered barrier hooks in deterministic registration order with exact
-// (tick, priority, sequence) keys, so dispatch order — and every stat —
-// is bit-identical to the serial run for any thread count. The barrier
-// also drains per-domain functional-write journals (device->host DMA data
-// staged off-thread; see mem/write_journal.hh) and skips idle windows by
-// warping the grid to the earliest pending event.
-//
-// ACCESYS_THREADS=1 (the default) never carves domains: the exact serial
-// code path runs, untouched.
+// A Simulator owns one EventQueue and dispatches serially: every SimObject
+// schedules into that queue, so any point between two events is quiescent
+// (legal for checkpoints, exits and interrupts).
 #pragma once
 
 #include <atomic>
@@ -60,39 +41,10 @@ struct RunResult {
 /// Owns the event queue and the stat registry; SimObjects attach to it.
 class Simulator {
   public:
-    /// One parallel simulation domain (beyond the implicit root domain).
-    /// Created by begin_domain(); the owning thread is assigned by run().
-    struct Domain {
-        std::string label;
-        std::unique_ptr<EventQueue> queue;
-        /// Installed on the worker thread before each window (and by
-        /// begin_domain() during construction): thread-context setup such
-        /// as the domain's packet/TLP pools. May be empty.
-        std::function<void()> install;
-        /// Apply staged functional writes with tick <= arg to the shared
-        /// backing store. Called only while the domain is quiesced (at
-        /// barriers with the window end, at read fences with the read
-        /// tick), in domain order. May be empty.
-        std::function<void(Tick)> drain_functional;
-        std::uint64_t events = 0; ///< events executed in the current run()
-        /// Window-completion publication: the generation of the last
-        /// window this domain finished. A generation — not the window-end
-        /// tick — because a barrier hook can schedule work back inside the
-        /// just-finished window, forcing the same window end to be
-        /// republished; a tick-based barrier would treat the previous
-        /// completion as already satisfying the repeat and let the root's
-        /// serial section race the still-running worker. Release-published
-        /// by the worker; the root thread acquires it at barriers and read
-        /// fences, which is the happens-before edge covering everything
-        /// the window wrote.
-        alignas(64) std::atomic<std::uint64_t> done_gen{0};
-    };
-
     Simulator() = default;
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
 
-    /// The root domain's queue (the only queue in serial mode).
     [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
     [[nodiscard]] Tick now() const noexcept { return queue_.now(); }
     [[nodiscard]] stats::Registry& stats() noexcept { return stats_; }
@@ -101,7 +53,7 @@ class Simulator {
     void request_exit(std::string reason)
     {
         exit_requested_ = true;
-        stop_now_ = true;
+        stop_now_.store(true, std::memory_order_relaxed);
         exit_reason_ = std::move(reason);
     }
 
@@ -129,78 +81,21 @@ class Simulator {
     /// Run until drain, requested exit, or `max_tick`.
     RunResult run(Tick max_tick = kMaxTick);
 
-    // --- domain carving (construction time only) ---------------------------
-
-    /// Worker-thread budget for run(). Must be set before domains are
-    /// carved; 1 (the default) keeps the exact serial path.
-    void set_threads(unsigned n) { threads_ = n == 0 ? 1 : n; }
-    [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
-    /// Open a new simulation domain: SimObjects constructed until the
-    /// matching end_domain() bind to the domain's own EventQueue, and the
-    /// domain's install hook (if already set) runs so construction sees
-    /// the same thread context as the worker will. Returns the domain
-    /// index. Must not nest.
-    std::size_t begin_domain(std::string label);
-    void end_domain();
-
-    /// The queue new SimObjects bind to: the active domain's inside a
-    /// begin/end_domain scope, else the root queue.
-    [[nodiscard]] EventQueue& current_queue() noexcept
+    // --- benchmark/ source compatibility ------------------------------------
+    // Kept only so the benchmark sources, which predate the removal of the
+    // parallel event core, still compile. There are no simulation domains,
+    // so the domain count and every parallel-core counter are zero.
+    struct Domain {
+        std::unique_ptr<EventQueue> queue;
+    };
+    [[nodiscard]] std::size_t domain_count() const noexcept { return 0; }
+    [[noreturn]] Domain& domain(std::size_t i) const
     {
-        return active_domain_ == nullptr ? queue_ : *active_domain_->queue;
+        panic("simulation domain ", i, " does not exist");
     }
-
-    [[nodiscard]] std::size_t domain_count() const noexcept
-    {
-        return domains_.size();
-    }
-    [[nodiscard]] Domain& domain(std::size_t i) { return *domains_.at(i); }
-
-    /// True when run() will use the parallel window loop.
-    [[nodiscard]] bool parallel() const noexcept
-    {
-        return threads_ > 1 && !domains_.empty();
-    }
-
-    /// Barrier quantum in ticks (the minimum cross-domain latency).
-    /// TopologyBuilder sets this from the boundary links it carves.
-    void set_quantum(Tick q) { quantum_ = q; }
-    [[nodiscard]] Tick quantum() const noexcept { return quantum_; }
-
-    /// Register a hook run in the serial section of every window barrier,
-    /// in registration order (the deterministic cross-domain injection
-    /// order). Hooks flush boundary-edge handoff buffers: they may touch
-    /// any domain's queue/pools because every domain is quiesced.
-    void register_barrier_hook(std::function<void()> fn)
-    {
-        barrier_hooks_.push_back(std::move(fn));
-    }
-
-    /// Read fence for functional host-memory reads issued mid-window by
-    /// root-domain components (e.g. the host CPU's completion-flag poll):
-    /// waits until every domain finished the current window, then applies
-    /// all staged functional writes with tick <= `t` in domain order. A
-    /// no-op unless a parallel run is in progress. Never called from
-    /// non-root domains (they would deadlock the window).
-    void sync_functional_reads(Tick t);
-
-    /// Cross-domain items injected at barriers (bumped by flush hooks).
-    void note_handoffs(std::uint64_t n) noexcept { stat_handoffs_ += n; }
-    [[nodiscard]] std::uint64_t handoffs() const noexcept
-    {
-        return stat_handoffs_;
-    }
-    /// Window barriers completed across all run() calls.
-    [[nodiscard]] std::uint64_t barrier_waits() const noexcept
-    {
-        return stat_barriers_;
-    }
-    /// Mid-window read fences served (each waits for all domains).
-    [[nodiscard]] std::uint64_t fence_waits() const noexcept
-    {
-        return stat_fences_;
-    }
+    [[nodiscard]] std::uint64_t barrier_waits() const noexcept { return 0; }
+    [[nodiscard]] std::uint64_t handoffs() const noexcept { return 0; }
+    [[nodiscard]] std::uint64_t fence_waits() const noexcept { return 0; }
 
     // --- checkpoint/restore (see sim/serialize.hh) --------------------------
 
@@ -212,13 +107,6 @@ class Simulator {
         return config_hash_;
     }
 
-    /// Thread-context setup for the root domain (pool installation),
-    /// mirroring Domain::install; used while restoring root components.
-    void set_root_install(std::function<void()> fn)
-    {
-        root_install_ = std::move(fn);
-    }
-
     /// Register a named serialization hook for stateful non-SimObject
     /// state (backing store, packet/TLP pools, runner bookkeeping). Runs
     /// in registration order between the component and stats sections.
@@ -227,17 +115,14 @@ class Simulator {
         ckpt_hooks_.push_back({std::move(name), std::move(fn)});
     }
 
-    /// Write a checkpoint of the current state to `path`. Legal only at a
-    /// quiescent point: between events when serial, at a window barrier
-    /// when parallel — run() enforces this via the request_* entry points
-    /// below, which is how callers should normally checkpoint.
+    /// Write a checkpoint of the current state to `path`. Legal only
+    /// between events (or outside run()) — run() enforces this via the
+    /// request_* entry points below, which is how callers should normally
+    /// checkpoint.
     void checkpoint(const std::string& path);
 
-    /// Ask run() to write a checkpoint to `path` at the first legal point
-    /// covering tick `at` (exactly `at` when serial, the first barrier
-    /// whose window covers it when parallel), then return
-    /// ExitCause::checkpointed. Deterministic: the snapshot is identical
-    /// for every ACCESYS_THREADS by the barrier bit-identity contract.
+    /// Ask run() to write a checkpoint to `path` once every event before
+    /// tick `at` has run, then return ExitCause::checkpointed.
     void request_checkpoint_at(std::string path, Tick at);
 
     /// Pre-register the checkpoint path used when an asynchronous
@@ -248,17 +133,17 @@ class Simulator {
     }
 
     /// Async-signal/watchdog-thread entry point: request a checkpoint (to
-    /// the armed path) at the next legal point, then return
-    /// ExitCause::checkpointed. Only flag writes — safe from a signal
-    /// handler or another thread while run() executes.
+    /// the armed path) after the current event, then return
+    /// ExitCause::checkpointed. Only lock-free atomic flag stores — safe
+    /// from a signal handler or another thread while run() executes.
     void post_interrupt() noexcept
     {
-        interrupt_posted_ = true;
-        stop_now_ = true;
+        interrupt_posted_.store(true, std::memory_order_relaxed);
+        stop_now_.store(true, std::memory_order_relaxed);
     }
     [[nodiscard]] bool interrupt_posted() const noexcept
     {
-        return interrupt_posted_;
+        return interrupt_posted_.load(std::memory_order_relaxed);
     }
 
     /// Rebuild dynamic state from a checkpoint written under the same
@@ -266,19 +151,6 @@ class Simulator {
     /// The next run() resumes such that final results are bit-identical
     /// to the uninterrupted run. Throws SimError on any mismatch.
     void restore(const std::string& path);
-    [[nodiscard]] bool restored() const noexcept { return restored_; }
-
-    // --- liveness watchdog --------------------------------------------------
-
-    /// Parallel no-progress horizon: consecutive window barriers with zero
-    /// dispatched events before run() raises a diagnostic SimError
-    /// (0 disables). Serial runs surface the same condition as a drain
-    /// with jobs outstanding (core::Runner turns that into the SimError).
-    void set_max_idle_quanta(unsigned n) noexcept { max_idle_quanta_ = n; }
-    [[nodiscard]] unsigned max_idle_quanta() const noexcept
-    {
-        return max_idle_quanta_;
-    }
 
     /// One line per component that currently holds queued/blocked work —
     /// the diagnostic payload for liveness-watchdog SimErrors.
@@ -289,17 +161,8 @@ class Simulator {
     void attach(SimObject& obj) { objects_.push_back(&obj); }
     void detach(SimObject& obj) noexcept;
 
-    RunResult run_parallel(Tick max_tick);
-    /// Spin until every domain published completion of window generation
-    /// `gen` (yields: correctness must not depend on core count).
-    void await_domains(std::uint64_t gen) const;
-
-    /// Per-queue clock/live-count payload of the "sim" section.
-    void serialize_sim_clocks(Ckpt& ar);
-    /// Run the thread-context install hook owning queue `q` (root install
-    /// or the domain's install) so pool re-materialization during restore
-    /// draws from the correct per-domain pool.
-    void install_context_for(EventQueue* q);
+    /// The symmetric section list shared by checkpoint() and restore().
+    void serialize_state(Ckpt& ar);
 
     EventQueue queue_;
     stats::Registry stats_;
@@ -309,58 +172,30 @@ class Simulator {
     std::string exit_reason_;
 
     FaultInjector* fault_injector_ = nullptr;
-    unsigned threads_ = 1;
-    Tick quantum_ = 0;
-    std::vector<std::unique_ptr<Domain>> domains_;
-    Domain* active_domain_ = nullptr; ///< inside begin/end_domain scope
-    std::vector<std::function<void()>> barrier_hooks_;
-    /// Set only while run_parallel() is between startup and join; gates
-    /// sync_functional_reads. The end tick of the in-flight window lives
-    /// in window_end_ (written by the root thread before releasing the
-    /// window, read by workers after acquiring the generation).
-    bool parallel_running_ = false;
-    Tick window_end_ = 0;
-    /// Window-release counter: bumped (release) by the root thread after
-    /// writing window_end_; workers spin on it (acquire). Monotonic across
-    /// repeat windows, so it doubles as the barrier identity await_domains
-    /// waits on.
-    std::atomic<std::uint64_t> window_gen_{0};
-    std::uint64_t stat_barriers_ = 0;
-    std::uint64_t stat_fences_ = 0;
-    std::uint64_t stat_handoffs_ = 0;
 
     // --- checkpoint/restore state -------------------------------------------
     /// Run-loop stop flag polled between events: request_exit() and
-    /// post_interrupt() both raise it (a plain bool on purpose — it must
-    /// be writable from a signal handler, and a one-byte store/load is
-    /// the same cost the exit flag always paid).
-    bool stop_now_ = false;
-    bool interrupt_posted_ = false;
-    bool restored_ = false;
+    /// post_interrupt() both raise it. Atomic because the watchdog thread
+    /// and signal handlers write it while run() polls; relaxed order is
+    /// enough (nothing else is published through it), and a lock-free
+    /// atomic store is async-signal-safe. A relaxed load is a plain load
+    /// on x86, so the event loop pays nothing for it.
+    std::atomic<bool> stop_now_{false};
+    std::atomic<bool> interrupt_posted_{false};
+    static_assert(std::atomic<bool>::is_always_lock_free,
+                  "stop flags must be async-signal-safe");
     std::uint64_t config_hash_ = 0;
     std::string ckpt_path_;            ///< request_checkpoint_at target
     Tick ckpt_at_ = kMaxTick;          ///< request_checkpoint_at tick
     std::string interrupt_ckpt_path_;  ///< armed async-interrupt target
-    std::function<void()> root_install_;
     struct CkptHook {
         std::string name;
         std::function<void(Ckpt&)> fn;
     };
     std::vector<CkptHook> ckpt_hooks_;
-    /// Whether the snapshot being restored was taken under the same
-    /// domain carve (thread count). Snapshots are thread-count-neutral:
-    /// on a mismatch the per-queue clock records collapse to canonical
-    /// values and live-entry verification switches to the global total.
-    bool ckpt_layout_match_ = true;
-    std::uint64_t ckpt_live_total_ = 0;
-    unsigned max_idle_quanta_ = 64;
 };
 
 /// Base class for every named simulated component.
-///
-/// Binds to the Simulator's *current* queue at construction: objects built
-/// inside a begin_domain()/end_domain() scope schedule into — and read
-/// time from — their domain's queue, transparently.
 class SimObject {
   public:
     SimObject(Simulator& sim, std::string name);
@@ -371,8 +206,7 @@ class SimObject {
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     [[nodiscard]] Simulator& sim() noexcept { return *sim_; }
-    /// This object's event queue (its domain's queue; the root queue in
-    /// serial mode).
+    /// This object's event queue (the Simulator's queue).
     [[nodiscard]] EventQueue& eq() const noexcept { return *eq_; }
     [[nodiscard]] Tick now() const noexcept { return eq_->now(); }
 

@@ -280,9 +280,8 @@ class Smmu final : public SimObject,
     std::uint64_t pwc_clock_ = 0;
 
     /// Per-stream seeded translation-fault source: a private Bernoulli
-    /// stream (device_stream_seed(site, stream) — topology-keyed, so the
-    /// draw order is independent of ACCESYS_THREADS) plus the explicit
-    /// one-shot events targeting this stream.
+    /// stream (device_stream_seed(site, stream), topology-keyed) plus the
+    /// explicit one-shot events targeting this stream.
     struct StreamFault {
         Rng rng{0};
         std::vector<Tick> ticks; ///< one-shot explicit faults

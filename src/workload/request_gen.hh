@@ -10,14 +10,9 @@
 // take_until().
 //
 // Determinism contract: the schedule is a pure function of the config (no
-// libm — see det_neg_log), the arrival event lives on the root domain
-// (RequestGen is constructed after the System, outside any domain scope),
-// and consumption keys on ticks sampled inside the CPU program — never on
-// how many arrival events have fired when run() returns, which differs
-// between the serial and parallel run loops at round boundaries (a parallel
-// window may fire root-domain events only up to the exit request, but the
-// comparison point must be mode-independent). Any ACCESYS_THREADS value
-// therefore sees the identical request stream.
+// libm — see det_neg_log), and consumption keys on ticks sampled inside the
+// CPU program — never on how many arrival events have fired when run()
+// returns — so every run sees the identical request stream.
 #pragma once
 
 #include <string>
@@ -116,8 +111,8 @@ class RequestGen : public SimObject {
     }
 
     /// Consume every unconsumed request with arrival <= `t`, in schedule
-    /// order. `t` must be a tick sampled inside the CPU program (identical
-    /// in serial and parallel runs); see the determinism note above.
+    /// order. `t` must be a tick sampled inside the CPU program; see the
+    /// determinism note above.
     std::vector<const Request*> take_until(Tick t);
 
     void startup() override;

@@ -74,10 +74,10 @@ TEST(Composition, LinearInFraction)
 TEST(Composition, OutOfRangeFractionThrows)
 {
     SystemPerf sys{0, 1, 1};
-    EXPECT_THROW(exec_time(sys, -0.1), ConfigError);
-    EXPECT_THROW(exec_time(sys, 1.1), ConfigError);
+    EXPECT_THROW((void)exec_time(sys, -0.1), ConfigError);
+    EXPECT_THROW((void)exec_time(sys, 1.1), ConfigError);
     SystemPerf bad{0, 0, 1};
-    EXPECT_THROW(exec_time(bad, 0.5), ConfigError);
+    EXPECT_THROW((void)exec_time(bad, 0.5), ConfigError);
 }
 
 TEST(Composition, CrossoverClosedFormMatchesScan)

@@ -3,12 +3,12 @@
 // with pools warmed by the first run's recycled objects — must produce
 // bit-identical stats registries and end ticks. Any field the pools fail
 // to re-initialise on reuse would show up here as a diverging counter.
-// The same contract extends to the parallel event core: a run carved
-// into per-endpoint domains on N worker threads must be bit-identical
-// to the serial run.
+// The same contract covers the escape hatches, seeded fault plans and
+// checkpoint/restore round trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -16,6 +16,7 @@
 #include "mem/packet.hh"
 #include "pcie/tlp.hh"
 #include "sim/env_flags.hh"
+#include "sim/serialize.hh"
 
 namespace accesys {
 namespace {
@@ -48,19 +49,28 @@ struct SimSnapshot {
     bool verified = false;
 };
 
-/// `threads` == 0 leaves the config default (the ACCESYS_THREADS
-/// snapshot) in place; any other value pins the worker budget. A non-null
-/// `fault` installs that FaultPlan on the config.
+SimSnapshot snapshot_of(core::System& sys, bool verified)
+{
+    SimSnapshot snap;
+    snap.end_tick = sys.sim().now();
+    snap.events = sys.sim().queue().events_processed();
+    snap.verified = verified;
+    std::ostringstream text;
+    sys.stats().write_text(text);
+    snap.stats_text = text.str();
+    std::ostringstream json;
+    sys.stats().write_json(json);
+    snap.stats_json = json.str();
+    return snap;
+}
+
+/// A non-null `fault` installs that FaultPlan on the config.
 SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
-                         unsigned threads = 0,
                          const FaultPlan* fault = nullptr)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     if (devices > 1) {
         cfg.set_num_devices(devices);
-    }
-    if (threads != 0) {
-        cfg.threads = threads;
     }
     if (fault != nullptr) {
         cfg.fault_plan = *fault;
@@ -71,19 +81,7 @@ SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
     for (std::size_t d = 0; d < devices; ++d) {
         runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
     }
-    const auto res = runner.run_dispatched();
-
-    SimSnapshot snap;
-    snap.end_tick = sys.sim().now();
-    snap.events = sys.sim().queue().events_processed();
-    snap.verified = res.all_verified();
-    std::ostringstream text;
-    sys.stats().write_text(text);
-    snap.stats_text = text.str();
-    std::ostringstream json;
-    sys.stats().write_json(json);
-    snap.stats_json = json.str();
-    return snap;
+    return snapshot_of(sys, runner.run_dispatched().all_verified());
 }
 
 /// Split-at-`ckpt_at` variant of run_gemm_sim: one System runs until the
@@ -92,30 +90,22 @@ SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
 /// restore protocol: programs and closures are reconstructed, not
 /// serialized), the snapshot overwrites its dynamic state, and the run
 /// finishes. The returned snapshot must be bit-identical to the straight
-/// run's. Saving and resuming may use different worker budgets — the
-/// config hash deliberately excludes `threads`.
+/// run's.
 SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
-                           unsigned save_threads, unsigned restore_threads,
                            const FaultPlan* fault, Tick ckpt_at,
                            const std::string& path)
 {
     const workload::GemmSpec spec{size, size, size, /*seed=*/3};
-    auto make_cfg = [&](unsigned threads) {
-        core::SystemConfig cfg = core::SystemConfig::paper_default();
-        if (devices > 1) {
-            cfg.set_num_devices(devices);
-        }
-        if (threads != 0) {
-            cfg.threads = threads;
-        }
-        if (fault != nullptr) {
-            cfg.fault_plan = *fault;
-        }
-        return cfg;
-    };
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    if (devices > 1) {
+        cfg.set_num_devices(devices);
+    }
+    if (fault != nullptr) {
+        cfg.fault_plan = *fault;
+    }
 
     {
-        core::System sys(make_cfg(save_threads));
+        core::System sys(cfg);
         core::Runner runner(sys);
         for (std::size_t d = 0; d < devices; ++d) {
             runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
@@ -127,26 +117,34 @@ SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
             << " before the checkpoint tick " << ckpt_at;
     }
 
-    core::System sys(make_cfg(restore_threads));
+    core::System sys(cfg);
     core::Runner runner(sys);
     for (std::size_t d = 0; d < devices; ++d) {
         runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
     }
     runner.set_restore_path(path);
-    const auto res = runner.run_dispatched();
+    const bool verified = runner.run_dispatched().all_verified();
     std::remove(path.c_str());
+    return snapshot_of(sys, verified);
+}
 
-    SimSnapshot snap;
-    snap.end_tick = sys.sim().now();
-    snap.events = sys.sim().queue().events_processed();
-    snap.verified = res.all_verified();
-    std::ostringstream text;
-    sys.stats().write_text(text);
-    snap.stats_text = text.str();
-    std::ostringstream json;
-    sys.stats().write_json(json);
-    snap.stats_json = json.str();
-    return snap;
+/// The 4-endpoint HBM2 device-memory GEMM config with the given (ignored)
+/// worker-thread setting.
+SimSnapshot run_devmem_gemm(unsigned threads, std::size_t* domains)
+{
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_devmem("HBM2");
+    cfg.set_num_devices(4);
+    cfg.threads = threads;
+    core::System sys(cfg);
+    core::Runner runner(sys);
+    for (std::size_t d = 0; d < 4; ++d) {
+        runner.dispatch(d, workload::GemmSpec{64, 64, 64, 3 + d},
+                        core::Placement::devmem, /*verify=*/true);
+    }
+    const bool verified = runner.run_dispatched().all_verified();
+    *domains = sys.sim().domain_count();
+    return snapshot_of(sys, verified);
 }
 
 TEST(PoolDeterminism, ColdVsWarmPoolsAreBitIdentical)
@@ -177,38 +175,21 @@ TEST(PoolDeterminism, MultiDeviceWarmRerunIsBitIdentical)
     EXPECT_EQ(first.stats_text, second.stats_text);
 }
 
-TEST(PoolDeterminism, ParallelDomainsMatchSerialBitIdentical)
+TEST(PoolDeterminism, ThreadsSettingIsAcceptedAndIgnored)
 {
-    // The parallel event core's determinism contract: carving each
-    // endpoint subtree into its own quantum-synchronized domain thread
-    // (cfg.threads >= 2) must be invisible to simulation results — the
-    // end tick and both stats dumps are bit-identical to the serial run
-    // for any worker count. Each parallel System constructs cold
-    // per-domain Packet/TLP pools, so the first run is the cold case and
-    // the rerun checks run-to-run stability on warmed global pools.
-    // Event *counts* are not compared: the root queue's dispatch counter
-    // covers only the root domain in parallel runs, and cross-domain
-    // handoffs re-arm delivery events at barriers.
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1);
-    EXPECT_TRUE(serial.verified);
-
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot cold = run_gemm_sim(4, 32, threads);
-        EXPECT_TRUE(cold.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, cold.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, cold.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, cold.stats_json)
-            << "threads=" << threads;
-
-        const SimSnapshot warm = run_gemm_sim(4, 32, threads);
-        EXPECT_TRUE(warm.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, warm.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, warm.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, warm.stats_json)
-            << "threads=" << threads;
-    }
+    // SystemConfig::threads survives only for source compatibility: every
+    // config runs the one serial event queue, so threads=4 must produce
+    // byte-identical stats, the same end tick, and no simulation domains.
+    std::size_t domains1 = 1;
+    std::size_t domains4 = 1;
+    const SimSnapshot t1 = run_devmem_gemm(1, &domains1);
+    const SimSnapshot t4 = run_devmem_gemm(4, &domains4);
+    EXPECT_TRUE(t1.verified);
+    EXPECT_TRUE(t4.verified);
+    EXPECT_EQ(t1.end_tick, t4.end_tick);
+    EXPECT_EQ(t1.stats_json, t4.stats_json);
+    EXPECT_EQ(domains1, 0u);
+    EXPECT_EQ(domains4, 0u);
 }
 
 TEST(PoolDeterminism, BatchedDispatchMatchesUnbatchedBitExactly)
@@ -298,14 +279,12 @@ TEST(PoolDeterminism, LazyCreditsMatchEagerBitExactly)
         << "lazy accounting may only elide credit events, never add them";
 }
 
-TEST(PoolDeterminism, SeededFaultPlanBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, SeededFaultPlanRerunIsBitIdentical)
 {
     // The fault-injection determinism contract: per-(site, direction)
-    // corruption streams are keyed by topology registration order — which
-    // is single-threaded — and each stream is drawn only by the domain
-    // thread owning that direction's transmitter, so a fixed seeded plan
-    // (Bernoulli corruption everywhere plus a mid-run link-down window)
-    // is bit-identical for any ACCESYS_THREADS worker count.
+    // corruption streams are keyed by topology registration order, so a
+    // fixed seeded plan (Bernoulli corruption everywhere plus a mid-run
+    // link-down window) is bit-identical run to run.
     FaultPlan plan;
     plan.seed = 11;
     plan.corrupt_rate = 0.01;
@@ -318,26 +297,20 @@ TEST(PoolDeterminism, SeededFaultPlanBitIdenticalAcrossThreads)
     plan.max_replays = 16;
     plan.replay_timeout_ns = 3000.0;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_TRUE(serial.verified) << "replay must recover every corruption";
-
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_TRUE(par.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(first.verified) << "replay must recover every corruption";
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_EQ(first.end_tick, rerun.end_tick);
+    EXPECT_EQ(first.stats_text, rerun.stats_text);
+    EXPECT_EQ(first.stats_json, rerun.stats_json);
 }
 
-TEST(PoolDeterminism, DegradedRunBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, DegradedRunRerunIsBitIdentical)
 {
     // Graceful degradation must also be deterministic: with one endpoint's
     // link dead from tick 0 and completion/job timeouts armed, the failed
     // job's give-up path and the surviving endpoints' completions land on
-    // the same ticks for any worker count.
+    // the same ticks run to run.
     FaultPlan plan;
     FaultEvent down;
     down.kind = FaultKind::link_down;
@@ -350,17 +323,12 @@ TEST(PoolDeterminism, DegradedRunBitIdenticalAcrossThreads)
     plan.completion_timeout_ns = 50000.0;
     plan.job_timeout_ns = 2e6;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_FALSE(serial.verified) << "device 1's job must have timed out";
-
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_FALSE(first.verified) << "device 1's job must have timed out";
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_EQ(first.end_tick, rerun.end_tick);
+    EXPECT_EQ(first.stats_text, rerun.stats_text);
+    EXPECT_EQ(first.stats_json, rerun.stats_json);
 }
 
 TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
@@ -382,7 +350,7 @@ TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
     {
         const ScopedEnvFlags override_flags(
             [](EnvFlags& f) { f.faults = false; });
-        disabled = run_gemm_sim(2, 32, /*threads=*/0, &plan);
+        disabled = run_gemm_sim(2, 32, &plan);
     }
     EXPECT_TRUE(disabled.verified);
     EXPECT_EQ(clean.end_tick, disabled.end_tick);
@@ -391,49 +359,57 @@ TEST(PoolDeterminism, DisabledFaultsMatchEmptyPlanBitExactly)
     EXPECT_EQ(clean.stats_json, disabled.stats_json);
 }
 
-TEST(CheckpointRoundTrip, SplitRunBitIdenticalAcrossThreads)
+TEST(CheckpointRoundTrip, SplitRunBitIdentical)
 {
     // The checkpoint/restore bit-identity contract: a run checkpointed at
-    // its midpoint and resumed in a fresh System — for any worker count —
-    // must finish with the same end tick and byte-identical stats dumps
-    // as the uninterrupted run.
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1);
+    // its midpoint and resumed in a fresh System must finish with the
+    // same end tick and byte-identical stats dumps as the uninterrupted
+    // run.
+    const SimSnapshot straight = run_gemm_sim(4, 32);
     ASSERT_TRUE(straight.verified);
     const Tick mid = straight.end_tick / 2;
     ASSERT_GT(mid, 0u);
 
-    for (const unsigned threads : {1U, 2U, 4U}) {
-        const std::string path = ::testing::TempDir() + "roundtrip_t" +
-                                 std::to_string(threads) + ".ckpt";
-        const SimSnapshot split =
-            run_gemm_split(4, 32, threads, threads, nullptr, mid, path);
-        EXPECT_TRUE(split.verified) << "threads=" << threads;
-        EXPECT_EQ(straight.end_tick, split.end_tick)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_text, split.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_json, split.stats_json)
-            << "threads=" << threads;
-    }
-}
-
-TEST(CheckpointRoundTrip, SaveSerialRestoreParallel)
-{
-    // The config hash deliberately excludes the worker budget: a snapshot
-    // written by a serial run must resume bit-identically on 4 domain
-    // threads (and the barrier-tick legality rule makes the snapshot
-    // thread-count-neutral by construction).
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1);
-    ASSERT_TRUE(straight.verified);
-    const std::string path = ::testing::TempDir() + "roundtrip_1to4.ckpt";
-
-    const SimSnapshot split = run_gemm_split(
-        4, 32, /*save_threads=*/1, /*restore_threads=*/4, nullptr,
-        straight.end_tick / 2, path);
+    const std::string path = ::testing::TempDir() + "roundtrip.ckpt";
+    const SimSnapshot split = run_gemm_split(4, 32, nullptr, mid, path);
     EXPECT_TRUE(split.verified);
     EXPECT_EQ(straight.end_tick, split.end_tick);
     EXPECT_EQ(straight.stats_text, split.stats_text);
     EXPECT_EQ(straight.stats_json, split.stats_json);
+}
+
+TEST(CheckpointRoundTrip, StaleFormatVersionIsRejected)
+{
+    // A snapshot stamped with an older format version must be refused
+    // outright, naming both versions, instead of being misparsed.
+    const std::string path = ::testing::TempDir() + "stale_version.ckpt";
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    {
+        core::System sys(cfg);
+        sys.sim().checkpoint(path);
+    }
+    const std::uint32_t old_version = Ckpt::kFormatVersion - 1;
+    {
+        // The u32 version follows the 8-byte magic.
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(sizeof(Ckpt::kMagic));
+        f.write(reinterpret_cast<const char*>(&old_version),
+                sizeof(old_version));
+    }
+    core::System sys(cfg);
+    try {
+        sys.sim().restore(path);
+        FAIL() << "a stale-format checkpoint was accepted";
+    } catch (const SimError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("v" + std::to_string(old_version)),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("v" + std::to_string(Ckpt::kFormatVersion)),
+                  std::string::npos)
+            << msg;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
@@ -456,35 +432,27 @@ TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
     plan.max_replays = 16;
     plan.replay_timeout_ns = 3000.0;
 
-    const SimSnapshot straight = run_gemm_sim(4, 32, /*threads=*/1, &plan);
+    const SimSnapshot straight = run_gemm_sim(4, 32, &plan);
     ASSERT_TRUE(straight.verified);
     const Tick in_window = ticks_from_ns(8000.0); // 5000 + 10000 window
     ASSERT_GT(straight.end_tick, in_window)
         << "run must outlast the checkpoint point";
 
-    for (const unsigned threads : {1U, 2U}) {
-        const std::string path = ::testing::TempDir() + "roundtrip_fault_t" +
-                                 std::to_string(threads) + ".ckpt";
-        const SimSnapshot split =
-            run_gemm_split(4, 32, threads, threads, &plan, in_window, path);
-        EXPECT_TRUE(split.verified) << "threads=" << threads;
-        EXPECT_EQ(straight.end_tick, split.end_tick)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_text, split.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(straight.stats_json, split.stats_json)
-            << "threads=" << threads;
-    }
+    const std::string path = ::testing::TempDir() + "roundtrip_fault.ckpt";
+    const SimSnapshot split = run_gemm_split(4, 32, &plan, in_window, path);
+    EXPECT_TRUE(split.verified);
+    EXPECT_EQ(straight.end_tick, split.end_tick);
+    EXPECT_EQ(straight.stats_text, split.stats_text);
+    EXPECT_EQ(straight.stats_json, split.stats_json);
 }
 
-TEST(PoolDeterminism, FailoverHangPoisonFlrBitIdenticalAcrossThreads)
+TEST(PoolDeterminism, FailoverHangPoisonFlrRerunIsBitIdentical)
 {
     // The endpoint-level fault contract: device-fault streams (hang,
     // poison) are keyed by (site, channel) in topology registration
-    // order and drawn only by the owning endpoint's domain thread, and
-    // the Runner's failover rounds (timeout -> FLR -> re-dispatch) are
-    // host-driven, so a seeded hang+poison plan with failover armed is
-    // bit-identical for any ACCESYS_THREADS worker count.
+    // order, and the Runner's failover rounds (timeout -> FLR ->
+    // re-dispatch) are host-driven, so a seeded hang+poison plan with
+    // failover armed is bit-identical run to run.
     FaultPlan plan;
     plan.seed = 23;
     plan.poison_rate = 0.005;
@@ -497,19 +465,13 @@ TEST(PoolDeterminism, FailoverHangPoisonFlrBitIdenticalAcrossThreads)
     plan.job_max_attempts = 3;
     plan.flr_ns = 2000.0;
 
-    const SimSnapshot serial = run_gemm_sim(4, 32, /*threads=*/1, &plan);
-    EXPECT_TRUE(serial.verified)
+    const SimSnapshot first = run_gemm_sim(4, 32, &plan);
+    EXPECT_TRUE(first.verified)
         << "failover must re-dispatch every failed job to completion";
-
-    for (const unsigned threads : {2U, 4U}) {
-        const SimSnapshot par = run_gemm_sim(4, 32, threads, &plan);
-        EXPECT_TRUE(par.verified) << "threads=" << threads;
-        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
-        EXPECT_EQ(serial.stats_text, par.stats_text)
-            << "threads=" << threads;
-        EXPECT_EQ(serial.stats_json, par.stats_json)
-            << "threads=" << threads;
-    }
+    const SimSnapshot rerun = run_gemm_sim(4, 32, &plan);
+    EXPECT_EQ(first.end_tick, rerun.end_tick);
+    EXPECT_EQ(first.stats_text, rerun.stats_text);
+    EXPECT_EQ(first.stats_json, rerun.stats_json);
 }
 
 TEST(CheckpointRoundTrip, MidFlrCheckpointRoundTripsBitIdentical)
@@ -604,18 +566,13 @@ TEST(PoolDeterminism, SteadyStateForwardingAllocatesNothing)
 {
     // Warm-up run, then measure: the second identical sim must not grow
     // either pool's heap-allocation counter — every transaction object is
-    // served from the free lists. Lifetime counters sum the global pools
-    // and every per-domain pool. Pinned to the serial path: parallel
-    // Systems own their domain pools, so a *fresh* parallel System always
-    // re-warms them — the parallel steady state holds within a System
-    // (exercised by perf_baseline's gated contention metric), not across
-    // System lifetimes.
-    (void)run_gemm_sim(1, 48, /*threads=*/1);
-    const std::uint64_t pkt_allocs = mem::PacketPool::lifetime_allocs();
-    const std::uint64_t tlp_allocs = pcie::TlpPool::lifetime_allocs();
-    (void)run_gemm_sim(1, 48, /*threads=*/1);
-    EXPECT_EQ(mem::PacketPool::lifetime_allocs(), pkt_allocs);
-    EXPECT_EQ(pcie::TlpPool::lifetime_allocs(), tlp_allocs);
+    // served from the free lists.
+    (void)run_gemm_sim(1, 48);
+    const std::uint64_t pkt_allocs = mem::packet_pool().allocs_total();
+    const std::uint64_t tlp_allocs = pcie::tlp_pool().allocs_total();
+    (void)run_gemm_sim(1, 48);
+    EXPECT_EQ(mem::packet_pool().allocs_total(), pkt_allocs);
+    EXPECT_EQ(pcie::tlp_pool().allocs_total(), tlp_allocs);
 }
 
 } // namespace

@@ -74,18 +74,11 @@ void record(const std::string& name, double value)
     std::printf("  %-44s %14.0f\n", name.c_str(), value);
 }
 
-/// Combined heap allocations of every transaction pool in the process —
-/// the per-domain pools included — so the zero-steady-state-allocation
-/// gate holds for parallel runs too.
+/// Combined heap allocations of the packet and TLP pools.
 std::uint64_t pool_allocs()
 {
-    return mem::PacketPool::lifetime_allocs() +
-           pcie::TlpPool::lifetime_allocs();
+    return mem::packet_pool().allocs_total() + pcie::tlp_pool().allocs_total();
 }
-
-/// --threads override for the end-to-end benches (0 = ACCESYS_THREADS /
-/// config default). The committed --check gates assume the serial default.
-unsigned g_threads = 0;
 
 // --- bm_event_queue ---------------------------------------------------------
 // Two traffic shapes through a bare EventQueue, reported separately so the
@@ -444,11 +437,7 @@ void e2e_gemm_256()
     double best = 1e100;
     std::uint64_t events = 0;
     for (int r = 0; r < kRepeats; ++r) {
-        core::SystemConfig cfg = core::SystemConfig::paper_default();
-        if (g_threads != 0) {
-            cfg.threads = g_threads;
-        }
-        core::System sys(cfg);
+        core::System sys(core::SystemConfig::paper_default());
         benchutil::WatchScope watch(sys);
         core::Runner runner(sys);
         const auto t0 = Clock::now();
@@ -549,9 +538,6 @@ void profile_contention(std::uint32_t size)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     cfg.set_num_devices(4);
-    if (g_threads != 0) {
-        cfg.threads = g_threads;
-    }
     core::System sys(cfg);
     benchutil::WatchScope watch(sys);
     core::Runner runner(sys);
@@ -578,12 +564,6 @@ void profile_contention(std::uint32_t size)
                 static_cast<unsigned long long>(q.heap_pushes()),
                 static_cast<unsigned long long>(q.near_ring_hits()),
                 static_cast<unsigned long long>(q.express_hits()));
-    std::printf("parallel core: %llu barrier waits, %llu cross-domain "
-                "handoffs, %llu read fences (threads=%u, %zu domains)\n",
-                static_cast<unsigned long long>(sys.sim().barrier_waits()),
-                static_cast<unsigned long long>(sys.sim().handoffs()),
-                static_cast<unsigned long long>(sys.sim().fence_waits()),
-                sys.sim().threads(), sys.sim().domain_count());
 }
 
 // --- 4-endpoint contention config -------------------------------------------
@@ -592,7 +572,7 @@ void profile_contention(std::uint32_t size)
 // first repeat warms the pools; steady_pool_allocs reports the heap
 // allocations the pools performed across the later (measured) repeats.
 void contention_4ep(const char* label, std::uint32_t size, int repeats,
-                    unsigned threads = 0, double corrupt_rate = 0.0)
+                    double corrupt_rate = 0.0)
 {
     double best = 1e100;
     std::uint64_t events = 0;
@@ -600,9 +580,6 @@ void contention_4ep(const char* label, std::uint32_t size, int repeats,
     for (int r = 0; r < repeats; ++r) {
         core::SystemConfig cfg = core::SystemConfig::paper_default();
         cfg.set_num_devices(4);
-        cfg.threads = threads != 0 ? threads
-                                   : g_threads != 0 ? g_threads
-                                                    : cfg.threads;
         if (corrupt_rate > 0.0) {
             cfg.fault_plan.seed = 1;
             cfg.fault_plan.corrupt_rate = corrupt_rate;
@@ -637,16 +614,6 @@ void contention_4ep(const char* label, std::uint32_t size, int repeats,
         record(prefix + ".wall_ms_faulty", best * 1000.0);
         return;
     }
-    if (threads != 0) {
-        // Parallel leg: each repeat constructs a fresh System whose
-        // per-domain pools start cold, so in-run allocations here are
-        // construction warm-up, not steady-state violations — record the
-        // wall time only. The metric is informational and never --check
-        // gated: the tN/t1 ratio is a property of the host's core count.
-        record(prefix + ".wall_ms_t" + std::to_string(threads),
-               best * 1000.0);
-        return;
-    }
     record(prefix + ".wall_ms", best * 1000.0);
     record(prefix + ".events_per_sec", static_cast<double>(events) / best);
     record(prefix + ".steady_pool_allocs",
@@ -664,9 +631,6 @@ void ckpt_cost_4ep()
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     cfg.set_num_devices(4);
-    if (g_threads != 0) {
-        cfg.threads = g_threads;
-    }
     const workload::GemmSpec spec{256, 256, 256, 3};
     const std::string path = "perf_ckpt.ckpt";
 
@@ -744,9 +708,6 @@ void serving_overload()
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     cfg.set_num_devices(4);
-    if (g_threads != 0) {
-        cfg.threads = g_threads;
-    }
     workload::RequestGenConfig gcfg;
     gcfg.seed = 11;
     gcfg.horizon_ns = 1e5;
@@ -917,8 +878,6 @@ int main(int argc, char** argv)
             only = argv[++i];
         } else if (std::strcmp(argv[i], "--profile") == 0) {
             profile = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            g_threads = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--attempts") == 0 && i + 1 < argc) {
             attempts = std::atoi(argv[++i]);
             if (attempts < 1) {
@@ -933,7 +892,7 @@ int main(int argc, char** argv)
             std::fprintf(stderr,
                          "usage: %s [--out FILE] [--check BASELINE.json] "
                          "[--tolerance PCT] [--only SUBSTR] [--profile] "
-                         "[--threads N] [--attempts N]\n"
+                         "[--attempts N]\n"
                          "  --out FILE        write metrics JSON to FILE "
                          "(default BENCH_hotpath.json)\n"
                          "  --check BASELINE  compare against BASELINE's "
@@ -946,9 +905,6 @@ int main(int argc, char** argv)
                          "  --profile         run the 4-endpoint contention "
                          "config under the dispatch observer and print "
                          "per-event/per-component counts and time shares\n"
-                         "  --threads N       worker-thread budget for the "
-                         "end-to-end benches (default: ACCESYS_THREADS; "
-                         "--check gates assume the serial default)\n"
                          "  --attempts N      re-run the suite up to N "
                          "times, keeping each metric's best (CI flake "
                          "hardening; wall times keep their fastest)\n"
@@ -1006,18 +962,11 @@ int main(int argc, char** argv)
         if (want("contention_4ep_512")) {
             contention_4ep("contention_4ep_512", 512, 3);
         }
-        // The same flagship config on a 4-thread worker budget — the
-        // parallel event core's speedup metric. Recorded, not gated by
-        // --check: the t4/t1 ratio is a property of the host's core
-        // count (see the note in BENCH_hotpath.json).
-        if (want("contention_4ep_512_t4")) {
-            contention_4ep("contention_4ep_512", 512, 3, 4);
-        }
         // The flagship config with a fixed 1e-6 seeded TLP-corruption
         // rate: the link-level replay protocol's overhead under
         // contention. Informational, never --check gated.
         if (want("contention_4ep_512_faulty")) {
-            contention_4ep("contention_4ep_512", 512, 3, 0, 1e-6);
+            contention_4ep("contention_4ep_512", 512, 3, 1e-6);
         }
         // Checkpoint save/restore wall cost + snapshot size on the
         // contention config. Informational, never --check gated.
