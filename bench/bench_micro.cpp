@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrates:
 // event-queue throughput, cache lookups, DRAM timing, TLB, PCIe link
-// serialization and the systolic-array functional kernel. These guard the
+// serialization, the systolic-array functional strip and the int8 GEMM
+// kernel under it (MACs/s per path and shape). These guard the
 // simulator's own performance, which bounds how large a sweep the figure
 // benches can afford.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,8 @@
 #include "mem/xbar.hh"
 #include "pcie/link.hh"
 #include "pcie/tlp.hh"
+#include "sim/gemm_kernel.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "smmu/tlb.hh"
 
@@ -134,6 +137,49 @@ void bm_systolic_tile(benchmark::State& state)
                             16 * 16 * k);
 }
 BENCHMARK(bm_systolic_tile)->Arg(64)->Arg(256)->Arg(1024);
+
+void bm_gemm_kernel(benchmark::State& state)
+{
+    // The shared int8 GEMM kernel alone, per path: args are m, n, k and
+    // path (0 = portable, 1 = AVX-512 VNNI).
+    const auto m = static_cast<std::uint32_t>(state.range(0));
+    const auto n = static_cast<std::uint32_t>(state.range(1));
+    const auto k = static_cast<std::uint32_t>(state.range(2));
+    auto kernel = &detail::gemm_i8_nt_portable;
+    if (state.range(3) == 1) {
+#if ACCESYS_HAVE_VNNI_KERNEL
+        kernel = &detail::gemm_i8_nt_vnni;
+#endif
+        if (!detail::cpu_has_vnni()) {
+            state.SkipWithError("CPU lacks avx512vnni/avx512bw");
+            return;
+        }
+    }
+    std::vector<std::int8_t> a(std::size_t{m} * k);
+    std::vector<std::int8_t> bt(std::size_t{n} * k);
+    Rng rng(std::uint64_t{m} * 7 + k);
+    for (auto& v : a) {
+        v = static_cast<std::int8_t>(rng.between(0, 255));
+    }
+    for (auto& v : bt) {
+        v = static_cast<std::int8_t>(rng.between(0, 255));
+    }
+    std::vector<std::int32_t> c(std::size_t{m} * n);
+    for (auto _ : state) {
+        kernel(a.data(), bt.data(), c.data(), m, n, k, n);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MACs/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * m * n * k,
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(bm_gemm_kernel)
+    ->ArgNames({"m", "n", "k", "vnni"})
+    ->ArgsProduct({{16}, {16}, {16}, {0, 1}})
+    ->ArgsProduct({{48}, {48}, {48}, {0, 1}})
+    ->ArgsProduct({{16}, {768}, {768}, {0, 1}})
+    ->ArgsProduct({{768}, {768}, {768}, {0, 1}});
 
 void bm_memctrl_traffic(benchmark::State& state)
 {

@@ -1,5 +1,7 @@
 #include "workload/gemm.hh"
 
+#include "sim/gemm_kernel.hh"
+
 namespace accesys::workload {
 
 void init_gemm_data(mem::BackingStore& store, const GemmSpec& spec,
@@ -31,19 +33,7 @@ std::vector<std::int32_t> gemm_golden(const mem::BackingStore& store,
     store.read(bt_addr, bt.data(), bt.size());
 
     std::vector<std::int32_t> c(static_cast<std::size_t>(spec.m) * spec.n);
-    for (std::uint32_t i = 0; i < spec.m; ++i) {
-        for (std::uint32_t j = 0; j < spec.n; ++j) {
-            std::int32_t acc = 0;
-            const std::int8_t* ar = &a[static_cast<std::size_t>(i) * spec.k];
-            const std::int8_t* bc =
-                &bt[static_cast<std::size_t>(j) * spec.k];
-            for (std::uint32_t kk = 0; kk < spec.k; ++kk) {
-                acc += static_cast<std::int32_t>(ar[kk]) *
-                       static_cast<std::int32_t>(bc[kk]);
-            }
-            c[static_cast<std::size_t>(i) * spec.n + j] = acc;
-        }
-    }
+    gemm_i8_nt(a.data(), bt.data(), c.data(), spec.m, spec.n, spec.k, spec.n);
     return c;
 }
 

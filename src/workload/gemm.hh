@@ -44,7 +44,10 @@ struct GemmSpec {
 void init_gemm_data(mem::BackingStore& store, const GemmSpec& spec,
                     Addr a_addr, Addr bt_addr);
 
-/// Reference result computed directly (row-major m x n int32).
+/// Reference result (row-major m x n int32) from one call of the shared
+/// int8 GEMM kernel. The accelerator's strips use the same kernel, so a
+/// match validates the data path (DMA, tiling, placement); the kernel's
+/// arithmetic is checked against a naive oracle in its own tests.
 [[nodiscard]] std::vector<std::int32_t> gemm_golden(
     const mem::BackingStore& store, const GemmSpec& spec, Addr a_addr,
     Addr bt_addr);

@@ -65,6 +65,32 @@ TEST(SystolicArray, PartialStripRowsAndCols)
     EXPECT_EQ(workload::gemm_check(store, spec, c, golden), 0u);
 }
 
+TEST(SystolicArray, StripWithWideCStrideLeavesPaddingUntouched)
+{
+    mem::BackingStore store;
+    const workload::GemmSpec spec{6, 10, 40, 3};
+    const std::uint32_t stride = 16;
+    const Addr a = 0x1000;
+    const Addr bt = 0x10000;
+    const Addr c = 0x20000;
+    workload::init_gemm_data(store, spec, a, bt);
+    const auto golden = workload::gemm_golden(store, spec, a, bt);
+    const std::vector<std::int32_t> sentinel(spec.m * stride, -7);
+    store.write(c, sentinel.data(), sentinel.size() * 4);
+
+    SystolicArray::compute_strip(store, a, bt, c, spec.m, spec.n, spec.k,
+                                 stride);
+    std::vector<std::int32_t> out(spec.m * stride);
+    store.read(c, out.data(), out.size() * 4);
+    for (std::uint32_t r = 0; r < spec.m; ++r) {
+        for (std::uint32_t col = 0; col < stride; ++col) {
+            const std::int32_t want =
+                col < spec.n ? golden[r * spec.n + col] : -7;
+            EXPECT_EQ(out[r * stride + col], want) << r << "," << col;
+        }
+    }
+}
+
 TEST(SystolicParams, Validation)
 {
     SystolicParams p;
