@@ -752,7 +752,7 @@ ServingResult Runner::serve(workload::RequestGen& gen,
     // fields are left alone — the checkpoint already holds them, and this
     // fresh process' pre-restore now() would corrupt the SLO split.
     auto stage_dispatch = [&](bool restaging) {
-        const Tick dispatch_tick = sys.sim().now();
+        const Tick dispatched_at = sys.sim().now();
         std::vector<std::pair<Addr, accel::GemmCommand>> descs;
         for (const ServeSlot& s : st.slots) {
             ServedJob& j = st.jobs[s.job];
@@ -775,9 +775,9 @@ ServingResult Runner::serve(workload::RequestGen& gen,
             descs.emplace_back(mem.desc, cmd);
             if (!restaging) {
                 if (j.attempts.empty()) {
-                    j.first_dispatch = dispatch_tick;
+                    j.first_dispatch = dispatched_at;
                 }
-                j.last_dispatch = dispatch_tick;
+                j.last_dispatch = dispatched_at;
             }
         }
         *round_end_tick = 0;

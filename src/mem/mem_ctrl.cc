@@ -106,7 +106,7 @@ void MemCtrl::schedule_issue()
     }
     const Tick when = std::max(now(), issue_free_);
     if (!issue_event_.scheduled()) {
-        eq().schedule_express(issue_event_, when);
+        eq().schedule(issue_event_, when);
     } else if (issue_event_.when() > when) {
         reschedule(issue_event_, when);
     }

@@ -9,7 +9,9 @@
 //     per port.
 //   * Responses flow the other way with the symmetric rules.
 //   * `PacketQueue` implements the common egress pattern: schedule a packet
-//     to leave at a future tick, retry automatically on backpressure.
+//     to leave at a future tick, retry automatically on backpressure. A
+//     packet always leaves from the queue's send event, even one that is
+//     ready at push time, so egress is ordered like any other event.
 //
 // Dispatch structure: the Requestor/Responder interfaces exist for wiring
 // and documentation, but steady-state delivery does not go through their
@@ -222,58 +224,13 @@ class PacketQueue {
         send_event_.set_raw_callback(
             [](void* self) { static_cast<PacketQueue*>(self)->try_send(); },
             this);
-        fuse_ = eq_->batching_enabled();
     }
 
     /// Queue `pkt` to be sent no earlier than `ready` (absolute tick).
-    ///
-    /// Same-resolved-tick fusion: when the packet is already sendable, the
-    /// queue is idle, and nothing else is pending at the current tick, the
-    /// send event this push would schedule is guaranteed to be the very
-    /// next dispatch — so the hand-off happens synchronously and the
-    /// intermediate self-event is skipped entirely (disabled together with
-    /// batch dispatch by ACCESYS_NO_BATCH; results are identical by
-    /// contract).
     void push(PacketPtr pkt, Tick ready)
     {
-        // Guard ordering matters: most pushes carry a future ready tick, so
-        // the tick compare disqualifies first; the queue-state flags are
-        // one cache line; tick_quiescent (a queue probe) runs last.
-        const Tick now = eq_->now();
-        if (ready <= now && q_.empty() && !blocked_ && fuse_ &&
-            !in_send_ && !send_event_.scheduled() &&
-            eq_->tick_quiescent()) {
-            in_send_ = true;
-            const bool ok = send_(send_ctx_, pkt);
-            in_send_ = false;
-            if (ok) {
-                if (drain_hook_ != nullptr) {
-                    drain_hook_(drain_ctx_);
-                }
-                return;
-            }
-            // Refused: same as a try_send head refusal — hold the packet,
-            // wait for the peer's retry().
-            blocked_ = true;
-            q_.push_back(Entry{std::move(pkt), ready});
-            return;
-        }
         q_.push_back(Entry{std::move(pkt), ready});
-        if (!blocked_) {
-            // Inline arm(): the queue cannot be empty after the push, and
-            // egress is FIFO — the wakeup tracks the *head's* ready tick
-            // (an out-of-order earlier `ready` must not wake the queue
-            // before the head can actually leave). Hop sends go through
-            // the express lane: quiescent memory-hierarchy chains
-            // trampoline hop-to-hop without touching the event heap.
-            const Tick head_ready = q_.front().ready;
-            const Tick when = head_ready > now ? head_ready : now;
-            if (!send_event_.scheduled()) {
-                eq_->schedule_express(send_event_, when);
-            } else if (send_event_.when() > when) {
-                eq_->reschedule(send_event_, when);
-            }
-        }
+        arm();
     }
 
     /// Queue `pkt` for immediate send.
@@ -317,12 +274,15 @@ class PacketQueue {
     void arm()
     {
         // While blocked, progress comes from retry(), not from the event.
+        // Egress is FIFO, so the wakeup tracks the *head's* ready tick (an
+        // out-of-order earlier `ready` must not wake the queue before the
+        // head can actually leave).
         if (q_.empty() || blocked_) {
             return;
         }
         const Tick when = std::max(q_.front().ready, eq_->now());
         if (!send_event_.scheduled()) {
-            eq_->schedule_express(send_event_, when);
+            eq_->schedule(send_event_, when);
         } else if (send_event_.when() > when) {
             eq_->reschedule(send_event_, when);
         }
@@ -351,8 +311,6 @@ class PacketQueue {
     EventQueue* eq_;
     RingBuffer<Entry> q_;
     bool blocked_ = false;
-    bool fuse_ = true;    ///< same-tick fusion on (mirrors batch dispatch)
-    bool in_send_ = false; ///< re-entrancy guard for the fused hand-off
     SendFn send_;
     void* send_ctx_;
     HookFn drain_hook_ = nullptr;

@@ -64,7 +64,7 @@ void Endpoint::recv_tlp(unsigned /*port_idx*/, TlpPtr tlp)
     const Tick ready = now() + latency_ticks_;
     delay_q_.push_back(Delayed{ready, std::move(tlp)});
     if (!process_event_.scheduled()) {
-        eq().schedule_express(process_event_, ready);
+        eq().schedule(process_event_, ready);
     }
 }
 
@@ -124,7 +124,7 @@ void Endpoint::process_delayed()
         pcie_port_->release_ingress(ingress_cost);
     }
     if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule_express(process_event_,
+        eq().schedule(process_event_,
                                        delay_q_.front().ready);
     }
 }

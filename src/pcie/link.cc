@@ -209,7 +209,7 @@ void PcieLink::synthesize_credits(unsigned side, unsigned hdr,
     Direction& d = dirs_[side];
     d.credit_returns.push_back(CreditReturn{now(), hdr, data});
     if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        eq().schedule_express(d.credit_event, now());
+        eq().schedule(d.credit_event, now());
     }
 }
 
@@ -287,7 +287,7 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
     }
     d.in_flight.push_back(InFlight{arrival, std::move(tlp)});
     if (!d.deliver_event.scheduled()) {
-        eq().schedule_express(d.deliver_event, arrival);
+        eq().schedule(d.deliver_event, arrival);
     }
     return arrival + prop_ticks_;
 }
@@ -346,7 +346,7 @@ void PcieLink::queue_dll(unsigned dir, DllRecord rec)
     if ((nak || f.replay_starved) && !f.dll_event.scheduled()) {
         // Clamp: the front record can be a stale, lazily-unharvested ACK
         // whose arrival tick is already in the past.
-        eq().schedule_express(f.dll_event,
+        eq().schedule(f.dll_event,
                               std::max(now(), f.dll.front().arrival));
     }
 }
@@ -434,7 +434,7 @@ void PcieLink::process_dll(unsigned dir)
     }
     if (!f.dll.empty() && (f.naks_pending > 0 || f.replay_starved) &&
         !f.dll_event.scheduled()) {
-        eq().schedule_express(f.dll_event,
+        eq().schedule(f.dll_event,
                               std::max(now(), f.dll.front().arrival));
     }
 }
@@ -514,7 +514,7 @@ void PcieLink::transmit(unsigned from_side, TlpPtr tlp)
 
     d.in_flight.push_back(InFlight{arrival, std::move(tlp)});
     if (!d.deliver_event.scheduled()) {
-        eq().schedule_express(d.deliver_event, arrival);
+        eq().schedule(d.deliver_event, arrival);
     }
 }
 
@@ -534,7 +534,7 @@ void PcieLink::deliver(unsigned dir)
         rx.node_->recv_tlp(rx.node_port_idx_, std::move(tlp));
     }
     if (!d.in_flight.empty()) {
-        eq().schedule_express(d.deliver_event, d.in_flight.front().arrival);
+        eq().schedule(d.deliver_event, d.in_flight.front().arrival);
     }
 }
 
@@ -552,7 +552,7 @@ void PcieLink::queue_credit_return(unsigned to_side, unsigned hdr,
     // Lazy accounting: an unstarved transmitter harvests this return the
     // next time it probes can_send(); only a starved one needs the event.
     if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        eq().schedule_express(d.credit_event, arrival);
+        eq().schedule(d.credit_event, arrival);
     }
 }
 
@@ -594,7 +594,7 @@ bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
             // exist).
             f.replay_starved = true;
             if (!f.dll.empty() && !f.dll_event.scheduled()) {
-                eq().schedule_express(
+                eq().schedule(
                     f.dll_event, std::max(now(), f.dll.front().arrival));
             }
             return false;
@@ -610,7 +610,7 @@ bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
         Direction& d = dirs_[side];
         d.tx_starved = true;
         if (!d.credit_returns.empty() && !d.credit_event.scheduled()) {
-            eq().schedule_express(d.credit_event,
+            eq().schedule(d.credit_event,
                                   d.credit_returns.front().arrival);
         }
     }
@@ -650,7 +650,7 @@ void PcieLink::credit(unsigned dir)
     }
     if (!d.credit_returns.empty() &&
         (eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        eq().schedule_express(d.credit_event,
+        eq().schedule(d.credit_event,
                               d.credit_returns.front().arrival);
     }
 }

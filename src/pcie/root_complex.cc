@@ -73,7 +73,7 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
             auto* self = static_cast<RootComplex*>(s);
             if (!self->delay_q_.empty() &&
                 !self->process_event_.scheduled()) {
-                self->eq().schedule_express(
+                self->eq().schedule(
                     self->process_event_,
                     std::max(self->now(), self->delay_q_.front().ready));
             }
@@ -104,7 +104,7 @@ void RootComplex::recv_tlp(unsigned /*port_idx*/, TlpPtr tlp)
     const Tick ready = now() + latency_ticks_;
     delay_q_.push_back(Delayed{ready, std::move(tlp)});
     if (!process_event_.scheduled()) {
-        eq().schedule_express(process_event_, ready);
+        eq().schedule(process_event_, ready);
     }
 }
 
@@ -150,7 +150,7 @@ void RootComplex::process_delayed()
         delay_q_.pop_front();
     }
     if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule_express(process_event_,
+        eq().schedule(process_event_,
                                        delay_q_.front().ready);
     }
 }
@@ -312,7 +312,7 @@ void RootComplex::advance_completions(std::size_t slot)
             --inbound_live_;
             // A service slot freed: head-of-line stall may clear.
             if (!delay_q_.empty() && !process_event_.scheduled()) {
-                eq().schedule_express(
+                eq().schedule(
                     process_event_,
                     std::max(now(), delay_q_.front().ready));
             }

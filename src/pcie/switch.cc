@@ -44,7 +44,7 @@ void PcieSwitch::forward_delayed()
         }
     }
     if (!delay_q_.empty()) {
-        eq().schedule_express(forward_event_,
+        eq().schedule(forward_event_,
                                        delay_q_.front().ready);
     }
 }
@@ -142,7 +142,7 @@ void PcieSwitch::recv_tlp(unsigned port_idx, TlpPtr tlp)
     const Tick ready = now() + latency_ticks_;
     delay_q_.push_back(Delayed{ready, std::move(tlp), port_idx});
     if (!forward_event_.scheduled()) {
-        eq().schedule_express(forward_event_, ready);
+        eq().schedule(forward_event_, ready);
     }
 }
 

@@ -9,8 +9,6 @@ namespace {
 EnvFlags read_env()
 {
     EnvFlags f;
-    f.no_batch = std::getenv("ACCESYS_NO_BATCH") != nullptr;
-    f.no_hop_fusion = std::getenv("ACCESYS_NO_HOP_FUSION") != nullptr;
     f.eager_credits = std::getenv("ACCESYS_EAGER_CREDITS") != nullptr;
     if (const char* v = std::getenv("ACCESYS_FAULTS")) {
         f.faults = v[0] != '0';

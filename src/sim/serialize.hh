@@ -54,7 +54,8 @@ class Ckpt {
     // v2: poison bit on Tlp/Packet/InboundRead + endpoint/SMMU fault state.
     // v3: one event queue — the "sim", "sim.counters" and "pools" sections
     //     lose their domain/pool count prefixes and parallel-core counters.
-    static constexpr std::uint32_t kFormatVersion = 3;
+    // v4: "sim.counters" loses the express-lane hit/spill counters.
+    static constexpr std::uint32_t kFormatVersion = 4;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 

@@ -44,7 +44,7 @@ constexpr double ticks_to_ns(Tick t)
     // (1/1000 is not exactly representable, so ns-derived stat values can
     // differ from the divide form in the last ULP — acceptable: every
     // run of this build agrees with itself, which is what the
-    // fusion-on/off and pool-determinism bit-identity contracts compare.)
+    // determinism and checkpoint bit-identity contracts compare.)
     return static_cast<double>(t) * (1.0 / static_cast<double>(kTicksPerNs));
 }
 

@@ -1,13 +1,10 @@
 // Tests for the set-associative write-back cache.
 #include "test_util.hh"
 
-#include <cstdlib>
-#include <sstream>
 #include <tuple>
 
 #include "cache/cache.hh"
 #include "mem/mem_ctrl.hh"
-#include "mem/traffic_gen.hh"
 
 namespace accesys::cache {
 namespace {
@@ -445,68 +442,6 @@ TEST_F(CacheFixture, MultiLineRejectsNonRunShapes)
     // emits them.
     auto nonposted = Packet::make_write(0x0, 128);
     EXPECT_THROW((void)cpu.port().send_req(nonposted), SimError);
-}
-
-// --- hop-fusion determinism -------------------------------------------------
-// A dirty-victim miss train (streaming whole-line writes over a footprint
-// larger than the cache, then a conflicting read pass that forces dirty
-// evictions and fills) must produce bit-identical stats dumps and end
-// ticks with the memory-hierarchy express lane on and off
-// (ACCESYS_NO_HOP_FUSION=1 — read at EventQueue construction, so toggling
-// between Simulator lifetimes switches modes in-process).
-
-struct TrainSnapshot {
-    std::string stats;
-    Tick end_tick = 0;
-};
-
-TrainSnapshot run_dirty_victim_train()
-{
-    Simulator sim;
-    CacheParams cp;
-    cp.size_bytes = 8 * kKiB;
-    cp.assoc = 2;
-    cp.line_bytes = 64;
-    cp.mshrs = 8;
-    Cache cache(sim, "c", cp);
-    mem::SimpleMemParams smp;
-    const mem::AddrRange range(0, 4 * kMiB);
-    mem::SimpleMem memory(sim, "mem", smp, range);
-
-    mem::TrafficGenParams tp;
-    tp.total_bytes = 256 * kKiB;
-    tp.working_set = 64 * kKiB; // 8x the cache: every wrap evicts
-    tp.req_bytes = 64;
-    tp.window = 8;
-    tp.write_fraction = 0.7; // writes install dirt; reads fill over it
-    mem::TrafficGen gen(sim, "gen", tp);
-
-    gen.port().bind(cache.cpu_side());
-    cache.mem_side().bind(memory.port());
-    sim.startup();
-    gen.start([&sim] { sim.request_exit("done"); });
-    (void)sim.run();
-
-    TrainSnapshot snap;
-    snap.end_tick = sim.now();
-    std::ostringstream os;
-    sim.stats().write_text(os);
-    snap.stats = os.str();
-    return snap;
-}
-
-TEST(CacheHopFusion, DirtyVictimMissTrainBitIdenticalFusionOnOff)
-{
-    const TrainSnapshot fused = run_dirty_victim_train();
-    ::setenv("ACCESYS_NO_HOP_FUSION", "1", 1);
-    const TrainSnapshot plain = run_dirty_victim_train();
-    ::unsetenv("ACCESYS_NO_HOP_FUSION");
-
-    EXPECT_EQ(fused.end_tick, plain.end_tick);
-    EXPECT_EQ(fused.stats, plain.stats);
-    const std::string wb_line = "c.writebacks";
-    EXPECT_NE(fused.stats.find(wb_line), std::string::npos)
-        << "scenario must actually exercise the writeback path";
 }
 
 } // namespace

@@ -3,6 +3,9 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event.hh"
@@ -177,57 +180,112 @@ TEST(EventQueue, WarpRespectsPendingEvents)
     EXPECT_EQ(q.now(), 50u);
 }
 
-// Property: against a reference model, random schedule/deschedule sequences
-// must produce identical firing orders.
-class EventQueueRandomized : public ::testing::TestWithParam<std::uint64_t> {
-};
+// Property: against a reference model ordered by (tick, priority,
+// sequence), random schedule/deschedule/reschedule sequences must produce
+// identical firing orders. Changes come both from outside before the run
+// and from callbacks during it, at the current tick and later, across all
+// three priorities. The drain() variant raises the stop flag while peers
+// are still pending at the current tick, changes the schedule from
+// outside, and resumes.
+class EventQueueRandomized
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
 TEST_P(EventQueueRandomized, MatchesReferenceModel)
 {
-    Rng rng(GetParam());
+    const auto [seed, use_drain] = GetParam();
+    Rng rng(seed);
     EventQueue q;
 
     constexpr int kEvents = 64;
-    std::vector<std::unique_ptr<Event>> events;
-    std::vector<std::pair<Tick, int>> fired; // (tick, id)
-    for (int i = 0; i < kEvents; ++i) {
-        events.push_back(std::make_unique<Event>(
-            "e" + std::to_string(i), [&fired, &q, i] {
-                fired.push_back({q.now(), i});
-            }));
-    }
-
-    // Reference: multimap tick -> insertion sequence -> id.
-    std::multimap<std::pair<Tick, std::uint64_t>, int> model;
+    constexpr int kPrios[] = {kPrioEarly, kPrioDefault, kPrioLate};
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    std::map<Key, int> model;
     std::uint64_t seq = 0;
-    std::vector<std::multimap<std::pair<Tick, std::uint64_t>,
-                              int>::iterator>
-        live(kEvents, model.end());
+    std::vector<std::map<Key, int>::iterator> live(kEvents, model.end());
+    std::vector<std::unique_ptr<Event>> events;
 
-    for (int step = 0; step < 500; ++step) {
-        const int id = static_cast<int>(rng.below(kEvents));
-        if (events[id]->scheduled()) {
-            q.deschedule(*events[id]);
+    // Schedule, deschedule or reschedule `id` in both queue and model.
+    const auto act = [&](int id, Tick when) {
+        Event& ev = *events[id];
+        if (ev.scheduled()) {
             model.erase(live[id]);
             live[id] = model.end();
+            if (rng.below(2) == 0) {
+                q.deschedule(ev);
+                return;
+            }
+            q.reschedule(ev, when);
+        } else if (when == q.now() && rng.below(2) == 0) {
+            q.schedule_now(ev);
         } else {
-            const Tick when = rng.between(1, 1000);
-            q.schedule(*events[id], when);
-            live[id] = model.insert({{when, seq++}, id});
+            q.schedule(ev, when);
         }
+        live[id] = model.insert({Key{when, ev.priority(), seq++}, id}).first;
+    };
+    int budget = 3000; // in-run changes left; bounds the run
+    const auto act_in_run = [&] {
+        if (budget == 0) {
+            return;
+        }
+        --budget;
+        const int id = static_cast<int>(rng.below(kEvents));
+        act(id, rng.below(3) == 0 ? q.now() : q.now() + rng.between(1, 50));
+    };
+
+    std::vector<std::pair<Tick, int>> fired;    // (tick, id) dispatched
+    std::vector<std::pair<Tick, int>> expected; // model head at dispatch
+    std::atomic<bool> stop{false};
+    int mid_tick_stops = 0;
+    for (int i = 0; i < kEvents; ++i) {
+        events.push_back(std::make_unique<Event>(
+            "e" + std::to_string(i),
+            [&, i] {
+                ASSERT_FALSE(model.empty());
+                expected.push_back(
+                    {std::get<0>(model.begin()->first), model.begin()->second});
+                fired.push_back({q.now(), i});
+                ASSERT_NE(live[i], model.end());
+                model.erase(live[i]);
+                live[i] = model.end();
+                for (auto k = rng.below(4); k > 0; --k) {
+                    act_in_run();
+                }
+                if (use_drain && rng.below(4) == 0 && !model.empty() &&
+                    std::get<0>(model.begin()->first) == q.now()) {
+                    stop = true;
+                    ++mid_tick_stops;
+                }
+            },
+            kPrios[i % 3]));
     }
 
-    q.run();
-
-    std::vector<std::pair<Tick, int>> expected;
-    for (const auto& [key, id] : model) {
-        expected.push_back({key.first, id});
+    for (int step = 0; step < 500; ++step) {
+        act(static_cast<int>(rng.below(kEvents)), rng.between(1, 1000));
     }
+
+    std::uint64_t n = 0;
+    if (use_drain) {
+        while (q.drain(kMaxTick, stop, n) ==
+               EventQueue::DrainOutcome::stopped) {
+            stop = false;
+            act_in_run();
+        }
+        EXPECT_GT(mid_tick_stops, 0);
+    } else {
+        n = q.run();
+    }
+
+    EXPECT_EQ(n, fired.size());
+    EXPECT_EQ(budget, 0);
     EXPECT_EQ(fired, expected);
+    EXPECT_TRUE(model.empty());
+    EXPECT_TRUE(q.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueRandomized,
-                         ::testing::Values(1, 2, 3, 17, 99, 12345));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, EventQueueRandomized,
+    ::testing::Combine(::testing::Values(1, 2, 3, 17, 99, 12345),
+                       ::testing::Bool()));
 
 TEST(EventQueue, ScheduleNowRunsAfterCurrentEvent)
 {
@@ -344,12 +402,10 @@ TEST(Simulator, StartupCalledOncePerObject)
     EXPECT_EQ(o.started, 1);
 }
 
-TEST(EventQueue, StopMidBatchPreservesOrderAcrossDrains)
+TEST(EventQueue, StopMidTickPreservesOrderAcrossDrains)
 {
-    // Regression: stopping a drain inside a same-tick batch must return
-    // the unexecuted remainder without breaking the ring-precedes-heap
-    // invariant — a later-tick event cached ahead of the spilled
-    // remainder must not run first on the resumed drain.
+    // Stopping a drain while a same-tick peer is still pending must leave
+    // it ahead of later-tick events on the resumed drain.
     EventQueue q;
     std::vector<int> order;
     std::atomic<bool> stop{false};
@@ -360,8 +416,8 @@ TEST(EventQueue, StopMidBatchPreservesOrderAcrossDrains)
     Event b("b", [&] { order.push_back(1); });
     Event c("c", [&] { order.push_back(2); });
     q.schedule(a, 10);
-    q.schedule(b, 10); // same tick as a: dispatched as a batch
-    q.schedule(c, 15); // later tick, parked behind them
+    q.schedule(b, 10); // same tick as a
+    q.schedule(c, 15); // later tick
     std::uint64_t n = 0;
     EXPECT_EQ(q.drain(kMaxTick, stop, n),
               EventQueue::DrainOutcome::stopped);
@@ -372,12 +428,11 @@ TEST(EventQueue, StopMidBatchPreservesOrderAcrossDrains)
     EXPECT_EQ(n, 3u);
 }
 
-TEST(EventQueue, EarlyPriorityScheduledMidBatchRunsBeforeRemainder)
+TEST(EventQueue, EarlyPriorityScheduledMidTickRunsBeforePeers)
 {
-    // Regression: a kPrioEarly event scheduled at the current tick from
-    // inside a batch must interleave ahead of the pending remainder, and
-    // the spill that makes room for it must keep later-tick entries
-    // ordered after the current tick.
+    // A kPrioEarly event scheduled at the current tick from inside a
+    // callback must run ahead of the tick's pending default-priority
+    // peers, and later-tick entries stay after them all.
     EventQueue q;
     std::vector<int> order;
     Event early("early", [&] { order.push_back(9); }, kPrioEarly);

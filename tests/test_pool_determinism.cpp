@@ -192,64 +192,6 @@ TEST(PoolDeterminism, ThreadsSettingIsAcceptedAndIgnored)
     EXPECT_EQ(domains4, 0u);
 }
 
-TEST(PoolDeterminism, BatchedDispatchMatchesUnbatchedBitExactly)
-{
-    // Same-tick batch dispatch and same-resolved-tick egress fusion
-    // (sim/event.hh, mem/port.hh) must be invisible to simulation results:
-    // a run with the ACCESYS_NO_BATCH escape hatch set — forcing the
-    // one-event-at-a-time path and disabling queue fusion — must produce
-    // the same end tick and bit-identical stats dumps as the default
-    // batched run. Event *counts* may differ (fusion elides self-events),
-    // so they are deliberately not compared. Components capture the flag
-    // at EventQueue construction, so the snapshot override swaps modes
-    // between Simulator lifetimes within one process.
-    const SimSnapshot batched = run_gemm_sim(2, 48);
-    EXPECT_TRUE(batched.verified);
-
-    SimSnapshot unbatched;
-    {
-        const ScopedEnvFlags override_flags(
-            [](EnvFlags& f) { f.no_batch = true; });
-        unbatched = run_gemm_sim(2, 48);
-    }
-    EXPECT_TRUE(unbatched.verified);
-
-    EXPECT_EQ(batched.end_tick, unbatched.end_tick);
-    EXPECT_EQ(batched.stats_text, unbatched.stats_text);
-    EXPECT_EQ(batched.stats_json, unbatched.stats_json);
-    EXPECT_GE(unbatched.events, batched.events)
-        << "fusion may only remove self-events, never add them";
-}
-
-TEST(PoolDeterminism, HopFusionExpressLaneMatchesDisabledBitExactly)
-{
-    // The memory-hierarchy express lane (sim/event.hh schedule_express)
-    // stages hop events in a one-slot lane and dispatches them straight
-    // from it when they are the earliest pending work. The staged entry
-    // carries the same (tick, priority, sequence) key a plain schedule()
-    // would have produced, so dispatch order — and with it every stat and
-    // the end tick — must be identical with no_hop_fusion set (which
-    // degrades every schedule_express to schedule()). Unlike batch fusion
-    // and lazy credits, the lane elides no events, so the counts must
-    // match exactly as well.
-    const SimSnapshot fused = run_gemm_sim(2, 48);
-    EXPECT_TRUE(fused.verified);
-
-    SimSnapshot plain;
-    {
-        const ScopedEnvFlags override_flags(
-            [](EnvFlags& f) { f.no_hop_fusion = true; });
-        plain = run_gemm_sim(2, 48);
-    }
-    EXPECT_TRUE(plain.verified);
-
-    EXPECT_EQ(fused.end_tick, plain.end_tick);
-    EXPECT_EQ(fused.events, plain.events)
-        << "the express lane must dispatch, not elide";
-    EXPECT_EQ(fused.stats_text, plain.stats_text);
-    EXPECT_EQ(fused.stats_json, plain.stats_json);
-}
-
 TEST(PoolDeterminism, LazyCreditsMatchEagerBitExactly)
 {
     // Lazy link-credit accounting (pcie/link.cc) elides the per-TLP

@@ -87,7 +87,7 @@ std::uint64_t pool_allocs()
 //     retry/backpressure pattern) drained through step() — heap-heavy;
 //   * steady: a small set of self-rescheduling events drained through
 //     run() — the link/egress ping-pong pattern real sim traffic is made
-//     of, which exercises the cached-top and same-tick batch paths.
+//     of, which exercises the near ring's schedule→fire path.
 void bm_event_queue()
 {
     constexpr int kFanout = 256;
@@ -141,7 +141,7 @@ void bm_event_queue()
                 [](void* p) {
                     auto* ch = static_cast<Chain*>(p);
                     ++*ch->fired;
-                    ch->q->schedule_at_current_tick(ch->resp_ev);
+                    ch->q->schedule_now(ch->resp_ev);
                 },
                 c.get());
             c->resp_ev.set_name("resp" + std::to_string(i));
@@ -553,17 +553,12 @@ void profile_contention(std::uint32_t size)
                 size);
     prof.report();
     const auto& q = sys.sim().queue();
-    std::printf("\nevent-queue buckets: %llu scheduled, %llu dispatched, "
-                "%llu express hits, %llu express spills\n",
+    std::printf("\nevent-core counters: %llu scheduled, %llu dispatched, "
+                "%llu heap pushes, %llu near-ring hits\n",
                 static_cast<unsigned long long>(q.events_scheduled()),
                 static_cast<unsigned long long>(q.events_processed()),
-                static_cast<unsigned long long>(q.express_hits()),
-                static_cast<unsigned long long>(q.express_spills()));
-    std::printf("event-core counters: %llu heap pushes, %llu near-ring "
-                "hits, %llu express dispatches\n",
                 static_cast<unsigned long long>(q.heap_pushes()),
-                static_cast<unsigned long long>(q.near_ring_hits()),
-                static_cast<unsigned long long>(q.express_hits()));
+                static_cast<unsigned long long>(q.near_ring_hits()));
 }
 
 // --- 4-endpoint contention config -------------------------------------------
@@ -792,10 +787,10 @@ int check_against(const std::string& baseline_path, double tolerance)
 
     // Throughput metrics gate the check. Wall time is additionally gated
     // (lower is better) for the flagship contention config: event-eliding
-    // optimizations (lazy credits, egress fusion) lower events/sec while
-    // making the simulator *faster*, so the events/sec gates alone would
-    // punish exactly the changes that matter — wall time is the
-    // first-class metric that rewards them.
+    // optimizations (lazy credits) lower events/sec while making the
+    // simulator *faster*, so the events/sec gates alone would punish
+    // exactly the changes that matter — wall time is the first-class
+    // metric that rewards them.
     struct Gate {
         const char* name;
         bool lower_is_better; ///< wall time: fail above baseline*(1+tol)
