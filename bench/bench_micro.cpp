@@ -129,9 +129,9 @@ void bm_systolic_tile(benchmark::State& state)
     std::vector<std::int8_t> data(16 * k, 3);
     store.write(0x1000, data.data(), data.size());
     store.write(0x100000, data.data(), data.size());
+    accel::SystolicArray sa{accel::SystolicParams{}};
     for (auto _ : state) {
-        accel::SystolicArray::compute_strip(store, 0x1000, 0x100000,
-                                            0x200000, 16, 16, k, 16);
+        sa.compute_strip(store, 0x1000, 0x100000, 0x200000, 16, 16, k, 16);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             16 * 16 * k);

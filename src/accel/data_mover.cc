@@ -50,17 +50,14 @@ void DevMemMover::submit(TransferJob job)
 {
     ensure(job.bytes > 0 && job.bytes < (1ULL << 24), name(),
            ": transfer size out of range");
-    if (!devmem_range_.contains(job.src)) {
+    const bool reads_devmem = devmem_range_.contains(job.src);
+    if (!reads_devmem) {
         // Write path (scratchpad -> device memory): snapshot now, since the
         // producer may reuse its staging buffer before the writes drain.
         store_->copy(job.dst, job.src, job.bytes);
     }
-    auto js = std::make_unique<JobState>();
-    js->job = std::move(job);
-    js->id = next_id_++;
-    js->reads_devmem = devmem_range_.contains(js->job.src);
-    by_id_[js->id] = js.get();
-    active_.push_back(std::move(js));
+    active_.push_back(JobState{job, 0, 0, reads_devmem});
+    ++next_id_;
     pump();
 }
 
@@ -70,8 +67,9 @@ void DevMemMover::pump()
         return;
     }
     pumping_ = true;
-    for (auto& jsp : active_) {
-        JobState& js = *jsp;
+    while (issue_id_ < next_id_ && !blocked_ &&
+           outstanding_ < params_.max_outstanding) {
+        JobState& js = active_[issue_id_ - front_id()];
         while (js.issued < js.job.bytes && !blocked_ &&
                outstanding_ < params_.max_outstanding) {
             const auto chunk =
@@ -90,7 +88,7 @@ void DevMemMover::pump()
                 ++writes_;
             }
             // Responses carry (job id, offset) for reassembly.
-            pkt->set_tag((js.id << 24) | off);
+            pkt->set_tag((issue_id_ << 24) | off);
             if (!port_.send_req(pkt)) {
                 blocked_ = true;
                 break;
@@ -99,8 +97,8 @@ void DevMemMover::pump()
             js.issued += chunk;
             bytes_ += chunk;
         }
-        if (blocked_ || outstanding_ >= params_.max_outstanding) {
-            break;
+        if (js.issued >= js.job.bytes) {
+            ++issue_id_;
         }
     }
     pumping_ = false;
@@ -110,9 +108,8 @@ void DevMemMover::pump()
 void DevMemMover::reap()
 {
     while (!active_.empty() &&
-           active_.front()->finished >= active_.front()->job.bytes) {
-        const dma::Continuation cb = active_.front()->job.on_complete;
-        by_id_.erase(active_.front()->id);
+           active_.front().finished >= active_.front().job.bytes) {
+        const dma::Continuation cb = active_.front().job.on_complete;
         active_.pop_front();
         if (cb) {
             cb.fire();
@@ -124,11 +121,12 @@ void DevMemMover::flr_reset()
 {
     ensure(!pumping_, name(), ": function-level reset mid-pump");
     // Issued-but-unanswered requests become orphans: their responses are
-    // already queued downstream and must be drained, not asserted on.
+    // already queued downstream and must be drained, not asserted on. Their
+    // ids all fall below the (now empty) ring's front.
     orphans_pending_ += outstanding_;
     outstanding_ = 0;
-    by_id_.clear();
     active_.clear();
+    issue_id_ = next_id_;
     blocked_ = false;
 }
 
@@ -136,14 +134,14 @@ bool DevMemMover::recv_resp(mem::PacketPtr& pkt)
 {
     const std::uint64_t id = pkt->tag() >> 24;
     const std::uint64_t off = pkt->tag() & ((1ULL << 24) - 1);
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end() && orphans_pending_ > 0) {
+    if (id < front_id() && orphans_pending_ > 0) {
         --orphans_pending_;
         pkt.reset();
         return true;
     }
-    ensure(it != by_id_.end(), name(), ": response for unknown job");
-    JobState& js = *it->second;
+    ensure(id >= front_id() && id < next_id_, name(),
+           ": response for unknown job");
+    JobState& js = active_[id - front_id()];
     const auto chunk = pkt->size();
 
     if (js.reads_devmem) {
@@ -161,28 +159,40 @@ void DevMemMover::serialize(Ckpt& ar)
     ensure(!pumping_, name(), ": checkpoint mid-pump");
     std::uint64_t n = active_.size();
     ar.io(n, next_id_, outstanding_, orphans_pending_, blocked_);
-    if (ar.saving()) {
-        for (auto& jsp : active_) {
-            std::uint8_t has_cont = jsp->job.on_complete ? 1 : 0;
-            ar.io(jsp->job.src, jsp->job.dst, jsp->job.bytes, has_cont,
-                  jsp->job.on_complete.kind, jsp->job.on_complete.arg,
-                  jsp->id, jsp->issued, jsp->finished, jsp->reads_devmem);
-        }
-    } else {
+    if (ar.loading()) {
         ensure(active_.empty(), name(), ": restore into a busy mover");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            auto js = std::make_unique<JobState>();
-            std::uint8_t has_cont = 0;
-            ar.io(js->job.src, js->job.dst, js->job.bytes, has_cont,
-                  js->job.on_complete.kind, js->job.on_complete.arg,
-                  js->id, js->issued, js->finished, js->reads_devmem);
+    }
+    // Ids are implied by ring position; they stay in the stream to keep
+    // its layout, and a restore checks they are still dense.
+    const std::uint64_t first = next_id_ - n;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (ar.loading()) {
+            active_.push_back(JobState{});
+        }
+        JobState& js = active_[i];
+        std::uint8_t has_cont = js.job.on_complete ? 1 : 0;
+        std::uint64_t id = first + i;
+        ar.io(js.job.src, js.job.dst, js.job.bytes, has_cont,
+              js.job.on_complete.kind, js.job.on_complete.arg, id, js.issued,
+              js.finished, js.reads_devmem);
+        if (ar.loading()) {
+            ensure(id == first + i, name(),
+                   ": checkpointed job ids not dense");
             if (has_cont != 0) {
                 ensure(listener_ != nullptr, name(),
                        ": job with continuation but no listener");
-                js->job.on_complete.listener = listener_;
+                js.job.on_complete.listener = listener_;
             }
-            by_id_[js->id] = js.get();
-            active_.push_back(std::move(js));
+        }
+    }
+    if (ar.loading()) {
+        issue_id_ = first;
+        while (issue_id_ < next_id_) {
+            const JobState& js = active_[issue_id_ - first];
+            if (js.issued < js.job.bytes) {
+                break;
+            }
+            ++issue_id_;
         }
     }
     port_.serialize(ar);

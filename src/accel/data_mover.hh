@@ -5,16 +5,20 @@
 //   * PcieDmaMover  — wraps the PCIe DMA engine (host-side memory paths).
 //   * DevMemMover   — issues direct requests to the device-side memory
 //                     controller (the paper's "arrow 6" bypass of PCIe).
+//
+// DevMemMover keeps its jobs by value in a ring ordered by job id. Ids are
+// handed out densely and jobs retire only from the front, so the ring
+// always holds the contiguous ids [next_id_ - size, next_id_): a response
+// finds its job by subtraction, not by a lookup, and no job touches the
+// heap once the ring has grown to the working set. An id below the ring's
+// front belongs to a job a function-level reset dropped; its response is
+// swallowed as an orphan.
 #pragma once
-
-#include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
 
 #include "dma/dma_engine.hh"
 #include "mem/addr_range.hh"
 #include "mem/port.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::accel {
@@ -95,7 +99,6 @@ class DevMemMover final : public SimObject,
 
     struct JobState {
         TransferJob job;
-        std::uint64_t id = 0;
         std::uint64_t issued = 0;
         std::uint64_t finished = 0;
         bool reads_devmem = false; ///< src is device memory (load path)
@@ -103,6 +106,11 @@ class DevMemMover final : public SimObject,
 
     void pump();
     void reap();
+    /// Id of the job at the ring's front (== next_id_ when empty).
+    [[nodiscard]] std::uint64_t front_id() const
+    {
+        return next_id_ - active_.size();
+    }
 
     Params params_;
     mem::AddrRange devmem_range_;
@@ -110,10 +118,13 @@ class DevMemMover final : public SimObject,
     dma::TransferListener* listener_ = nullptr;
     mem::RequestPort port_;
     /// Jobs pipeline: chunks are issued from every job in admission order,
-    /// bounded only by the shared outstanding-request window.
-    std::deque<std::unique_ptr<JobState>> active_;
-    std::unordered_map<std::uint64_t, JobState*> by_id_;
+    /// bounded only by the shared outstanding-request window. Job id `i`
+    /// sits at active_[i - front_id()].
+    RingBuffer<JobState> active_;
     std::uint64_t next_id_ = 0;
+    /// Every job with a lower id has issued all its bytes; pump() resumes
+    /// here instead of rescanning the fully issued prefix.
+    std::uint64_t issue_id_ = 0;
     unsigned outstanding_ = 0;
     /// Responses still owed to jobs dropped by a function-level reset;
     /// swallowed on arrival instead of tripping the unknown-job check.

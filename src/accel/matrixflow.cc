@@ -339,9 +339,8 @@ void MatrixFlowDevice::compute_done()
     const unsigned slot = strip % 2;
 
     if ((r.cmd.flags & kCmdVerify) != 0) {
-        SystolicArray::compute_strip(*store_, r.buf_a[slot], r.buf_b,
-                                     r.buf_c, strip_rows(strip), r.cur_cols,
-                                     r.cmd.k, r.cur_cols);
+        sa_.compute_strip(*store_, r.buf_a[slot], r.buf_b, r.buf_c,
+                          strip_rows(strip), r.cur_cols, r.cmd.k, r.cur_cols);
     }
     write_c_strip(strip);
 
@@ -518,29 +517,45 @@ void MatrixFlowDevice::serialize(Ckpt& ar)
         }
     }
 
-    // Aperture read bookkeeping: sort keys on save so checkpoint bytes are
-    // independent of unordered_map iteration order.
-    std::uint64_t n_ap = aperture_reads_.size();
+    // Aperture reads still owed a completion, in tag order. Answered
+    // entries behind the front are implied by the gaps between tags.
+    std::uint64_t n_ap = 0;
+    if (ar.saving()) {
+        for (std::size_t i = 0; i < aperture_reads_.size(); ++i) {
+            n_ap += aperture_reads_[i].done ? 0 : 1;
+        }
+    }
     ar.io(n_ap);
     if (ar.saving()) {
-        std::vector<std::uint64_t> keys;
-        keys.reserve(aperture_reads_.size());
-        for (const auto& [k, v] : aperture_reads_) {
-            keys.push_back(k);
-        }
-        std::sort(keys.begin(), keys.end());
-        for (std::uint64_t k : keys) {
-            ApertureRead& v = aperture_reads_.at(k);
-            ar.io(k, v.pcie_tag, v.requester, v.length);
+        for (std::size_t i = 0; i < aperture_reads_.size(); ++i) {
+            ApertureRead& v = aperture_reads_[i];
+            if (!v.done) {
+                std::uint64_t k = aperture_front_tag() + i;
+                ar.io(k, v.pcie_tag, v.requester, v.length);
+            }
         }
     } else {
+        // Answered reads between and after the owed ones come back as done
+        // placeholders, so the ring ends at next_aperture_tag_ again.
         aperture_reads_.clear();
+        std::uint64_t first = next_aperture_tag_;
+        const auto pad_to = [&](std::uint64_t tag) {
+            while (first + aperture_reads_.size() < tag) {
+                aperture_reads_.push_back(ApertureRead{0, 0, 0, true});
+            }
+        };
         for (std::uint64_t i = 0; i < n_ap; ++i) {
             std::uint64_t k = 0;
             ApertureRead v{};
             ar.io(k, v.pcie_tag, v.requester, v.length);
-            aperture_reads_.emplace(k, v);
+            first = i == 0 ? k : first;
+            ensure(k >= first + aperture_reads_.size() &&
+                       k < next_aperture_tag_,
+                   name(), ": checkpointed aperture tags out of order");
+            pad_to(k);
+            aperture_reads_.push_back(v);
         }
+        pad_to(next_aperture_tag_);
     }
 
     aperture_q_.serialize(ar);
@@ -591,8 +606,8 @@ void MatrixFlowDevice::recv_tlp(unsigned port_idx, pcie::TlpPtr tlp)
     if (tlp->type == pcie::TlpType::mem_read) {
         ++n_aperture_reads_;
         const std::uint64_t atag = next_aperture_tag_++;
-        aperture_reads_[atag] =
-            ApertureRead{tlp->tag, tlp->requester, tlp->length};
+        aperture_reads_.push_back(
+            ApertureRead{tlp->tag, tlp->requester, tlp->length, false});
         auto pkt = mem::packet_pool().make_read(tlp->addr, tlp->length);
         pkt->set_tag(atag);
         aperture_q_.push(std::move(pkt), ready);
@@ -608,12 +623,17 @@ void MatrixFlowDevice::recv_tlp(unsigned port_idx, pcie::TlpPtr tlp)
 
 bool MatrixFlowDevice::recv_resp(mem::PacketPtr& pkt)
 {
-    const auto it = aperture_reads_.find(pkt->tag());
-    ensure(it != aperture_reads_.end(), name(), ": stray aperture response");
-    const ApertureRead ar = it->second;
-    aperture_reads_.erase(it);
-    send_tlp(pcie::tlp_pool().make_completion(ar.length, ar.pcie_tag, ar.requester, 0,
-                                   true));
+    const std::uint64_t tag = pkt->tag();
+    ensure(tag >= aperture_front_tag() && tag < next_aperture_tag_ &&
+               !aperture_reads_[tag - aperture_front_tag()].done,
+           name(), ": stray aperture response");
+    ApertureRead& ar = aperture_reads_[tag - aperture_front_tag()];
+    ar.done = true;
+    send_tlp(pcie::tlp_pool().make_completion(ar.length, ar.pcie_tag,
+                                              ar.requester, 0, true));
+    while (!aperture_reads_.empty() && aperture_reads_.front().done) {
+        aperture_reads_.pop_front();
+    }
     pkt.reset();
     return true;
 }

@@ -14,11 +14,16 @@
 // Operands move over PCIe (host memory modes) or through the device-side
 // memory controller (DevMem mode) depending on the command flags; the
 // completion flag always crosses PCIe because the host polls it.
+//
+// CPU reads of the device-memory aperture get dense tags, and their PCIe
+// completion headers wait in a ring indexed by tag - front tag. The
+// device-memory controller's FR-FCFS scheduler can answer them out of
+// order, so an answered entry is only marked done; the ring pops from the
+// front once every older read has been answered.
 #pragma once
 
 #include <array>
 #include <optional>
-#include <unordered_map>
 
 #include "accel/command.hh"
 #include "accel/data_mover.hh"
@@ -216,11 +221,18 @@ class MatrixFlowDevice final : public pcie::Endpoint,
     mem::PacketQueue aperture_q_;
     std::uint64_t next_aperture_tag_ = 0;
     struct ApertureRead {
-        std::uint8_t pcie_tag;
-        std::uint16_t requester;
-        std::uint32_t length;
+        std::uint8_t pcie_tag = 0;
+        std::uint16_t requester = 0;
+        std::uint32_t length = 0;
+        bool done = false; ///< answered; popped once every older read is
     };
-    std::unordered_map<std::uint64_t, ApertureRead> aperture_reads_;
+    /// Reads with tags [next_aperture_tag_ - size, next_aperture_tag_);
+    /// the front entry is never done.
+    RingBuffer<ApertureRead> aperture_reads_;
+    [[nodiscard]] std::uint64_t aperture_front_tag() const
+    {
+        return next_aperture_tag_ - aperture_reads_.size();
+    }
 
     RingBuffer<Addr> cmd_fifo_; ///< doorbell backlog (descriptor addresses)
     Tick last_complete_tick_ = 0;

@@ -30,17 +30,18 @@ void SystolicArray::compute_strip(mem::BackingStore& store, Addr a_addr,
                                   std::uint32_t k,
                                   std::uint32_t c_stride_elems)
 {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(rows) * k);
-    std::vector<std::int8_t> b(static_cast<std::size_t>(cols) * k);
-    store.read(a_addr, a.data(), a.size());
-    store.read(b_addr, b.data(), b.size());
-
-    std::vector<std::int32_t> c(static_cast<std::size_t>(rows) * cols);
-    gemm_i8_nt(a.data(), b.data(), c.data(), rows, cols, k, cols);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-        store.write(c_addr + static_cast<Addr>(r) * c_stride_elems * 4,
-                    &c[static_cast<std::size_t>(r) * cols], cols * 4);
+    if (rows == 0 || cols == 0) {
+        return;
     }
+    const std::int8_t* a =
+        store.view(a_addr, std::size_t{rows} * k, a_stage_);
+    const std::int8_t* b =
+        store.view(b_addr, std::size_t{cols} * k, b_stage_);
+    const std::size_t c_span =
+        std::size_t{rows - 1} * c_stride_elems + cols;
+    std::int32_t* c = store.mut_view(c_addr, c_span, c_stage_);
+    gemm_i8_nt(a, b, c, rows, cols, k, c_stride_elems);
+    store.commit_view(c_addr, c, c_stage_);
 }
 
 } // namespace accesys::accel

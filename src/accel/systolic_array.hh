@@ -67,14 +67,19 @@ class SystolicArray {
     /// A strip: `rows` x k int8, row-major at `a_addr`.
     /// B panel: `cols` x k int8, row-major (i.e. B transposed) at `b_addr`.
     /// C strip: `rows` x `c_stride_elems` int32 at `c_addr`; only the first
-    /// `cols` columns of each row are written.
-    static void compute_strip(mem::BackingStore& store, Addr a_addr,
-                              Addr b_addr, Addr c_addr, std::uint32_t rows,
-                              std::uint32_t cols, std::uint32_t k,
-                              std::uint32_t c_stride_elems);
+    /// `cols` columns of each row are written. C must not overlap A or B.
+    /// The kernel runs in place on the store's memory; an operand that
+    /// straddles a chunk boundary goes through this array's staging
+    /// buffers, which are reused across calls.
+    void compute_strip(mem::BackingStore& store, Addr a_addr, Addr b_addr,
+                       Addr c_addr, std::uint32_t rows, std::uint32_t cols,
+                       std::uint32_t k, std::uint32_t c_stride_elems);
 
   private:
     SystolicParams params_;
+    std::vector<std::int8_t> a_stage_;
+    std::vector<std::int8_t> b_stage_;
+    std::vector<std::int32_t> c_stage_;
 };
 
 } // namespace accesys::accel

@@ -2,15 +2,29 @@
 //
 // Timing packets carry no payload; endpoints read/write this store when a
 // transaction logically completes. Storage is allocated lazily in fixed
-// chunks so multi-GB address spaces cost only what is touched. A
-// last-chunk memo keeps streaming accesses off the chunk map entirely.
+// chunks so multi-GB address spaces cost only what is touched.
+//
+// A small direct-mapped memo of chunk pointers (kMemoSlots entries, slot
+// picked by a multiplicative hash of the chunk key) keeps hot accesses off
+// the chunk map. It needs several entries: a device-memory mover copies
+// between a device-memory chunk and a scratchpad chunk on every response,
+// and several endpoints interleave, so a single entry would miss on nearly
+// every copy. Chunk payloads never move once allocated, so a memoed
+// pointer stays valid for the store's lifetime.
+//
+// view()/mut_view() hand out pointers straight into a chunk for ranges
+// that lie inside one, so bulk consumers (the systolic array's strips)
+// compute in place; a range that straddles a chunk boundary is staged
+// through a caller-owned buffer instead, so callers keep one code path.
 // Not thread-safe (the simulator is single-threaded).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/error.hh"
 #include "sim/types.hh"
@@ -120,6 +134,53 @@ class BackingStore {
         }
     }
 
+    /// Read-only view of `count` T at `addr`: a pointer straight into the
+    /// store when the range lies inside one allocated chunk (and is
+    /// aligned for T), otherwise a copy read into `staging` (untouched
+    /// memory reads as zero; no chunk is allocated). Valid until the range
+    /// or `staging` is next written. T is an integer type: a chunk is an
+    /// unsigned char array, which implicitly creates the T objects a view
+    /// accesses (C++20 [intro.object]).
+    template <typename T>
+    [[nodiscard]] const T* view(Addr addr, std::size_t count,
+                                std::vector<T>& staging) const
+    {
+        if (in_one_chunk<T>(addr, count)) {
+            if (const std::uint8_t* c = find_chunk(addr); c != nullptr) {
+                return reinterpret_cast<const T*>(c + (addr & kChunkMask));
+            }
+        }
+        staging.resize(count);
+        read(addr, staging.data(), count * sizeof(T));
+        return staging.data();
+    }
+
+    /// Writable view of `count` T at `addr`: a pointer straight into the
+    /// chunk (allocated on demand) when the range lies inside one,
+    /// otherwise `staging` loaded with the range's current contents. Pass
+    /// the result to commit_view() once written; that copies a staged view
+    /// back (touching every chunk the range covers) and is a no-op for an
+    /// in-place one.
+    template <typename T>
+    [[nodiscard]] T* mut_view(Addr addr, std::size_t count,
+                              std::vector<T>& staging)
+    {
+        if (in_one_chunk<T>(addr, count)) {
+            return reinterpret_cast<T*>(chunk_for(addr) + (addr & kChunkMask));
+        }
+        staging.resize(count);
+        read(addr, staging.data(), count * sizeof(T));
+        return staging.data();
+    }
+
+    template <typename T>
+    void commit_view(Addr addr, const T* view, const std::vector<T>& staging)
+    {
+        if (view == staging.data()) {
+            write(addr, staging.data(), staging.size() * sizeof(T));
+        }
+    }
+
     [[nodiscard]] std::size_t chunks_allocated() const
     {
         return chunks_.size();
@@ -132,43 +193,68 @@ class BackingStore {
     void serialize(Ckpt& ar);
 
   private:
+    static constexpr unsigned kMemoBits = 4;
+    static constexpr std::size_t kMemoSlots = std::size_t{1} << kMemoBits;
+
+    struct MemoSlot {
+        std::uint64_t key = ~std::uint64_t{0};
+        std::uint8_t* chunk = nullptr;
+    };
+
+    /// Fibonacci hashing: chunk keys of different regions differ in high
+    /// bits and neighbouring keys differ by one, and the top bits of the
+    /// product spread both kinds over the slots.
+    [[nodiscard]] MemoSlot& memo_slot(std::uint64_t key) const
+    {
+        return memo_[(key * 0x9E3779B97F4A7C15ULL) >> (64 - kMemoBits)];
+    }
+
+    template <typename T>
+    [[nodiscard]] static bool in_one_chunk(Addr addr, std::size_t count)
+    {
+        // Chunk payloads come from operator new[], so their alignment
+        // covers every scalar T.
+        return (addr & kChunkMask) + count * sizeof(T) <= kChunkBytes &&
+               addr % alignof(T) == 0;
+    }
+
     std::uint8_t* chunk_for(Addr addr)
     {
         const std::uint64_t key = addr / kChunkBytes;
-        if (memo_key_ == key) {
-            return memo_chunk_;
+        MemoSlot& m = memo_slot(key);
+        if (m.key == key) {
+            return m.chunk;
         }
         auto& slot = chunks_[key];
         if (!slot) {
             slot = std::make_unique<std::uint8_t[]>(kChunkBytes);
             std::memset(slot.get(), 0, kChunkBytes);
         }
-        memo_key_ = key;
-        memo_chunk_ = slot.get();
-        return memo_chunk_;
+        m = MemoSlot{key, slot.get()};
+        return m.chunk;
     }
 
     [[nodiscard]] const std::uint8_t* find_chunk(Addr addr) const
     {
         const std::uint64_t key = addr / kChunkBytes;
-        if (memo_key_ == key) {
-            return memo_chunk_;
+        MemoSlot& m = memo_slot(key);
+        if (m.key == key) {
+            return m.chunk;
         }
         const auto it = chunks_.find(key);
         if (it == chunks_.end()) {
             return nullptr;
         }
-        memo_key_ = key;
-        memo_chunk_ = it->second.get();
-        return memo_chunk_;
+        m = MemoSlot{key, it->second.get()};
+        return m.chunk;
     }
 
     std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
         chunks_;
-    /// Last chunk touched (chunk payloads are stable once allocated, so
-    /// the memoed pointer stays valid). Mutable: reads refresh it too.
-    mutable std::uint64_t memo_key_ = ~std::uint64_t{0};
-    mutable std::uint8_t* memo_chunk_ = nullptr;
+    /// Direct-mapped memo of allocated chunks; only ever holds pointers to
+    /// live chunks (absent chunks are not memoed). Mutable: reads refresh
+    /// it too.
+    mutable std::array<MemoSlot, kMemoSlots> memo_{};
 };
 
 } // namespace accesys::mem

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #if ACCESYS_HAVE_VNNI_KERNEL
 #include <immintrin.h>
@@ -138,8 +137,9 @@ bool cpu_has_vnni()
 /// k values of a 4x4 output tile in 16 accumulators; the k tail uses
 /// zero-masked loads (biased A lanes meet zero B lanes), and m/n edges
 /// clamp the row pointers to the last row and drop the duplicate outputs.
-/// Tiles walk 16-row panels of A, column group by column group, so the A
-/// panel and the current 4 B_T rows stay in L1 while B_T streams from L2.
+/// Within each 1024-column block, tiles walk 16-row panels of A, column
+/// group by column group, so the A panel and the current 4 B_T rows stay in
+/// L1 while the block's B_T rows stream from L2.
 ACCESYS_VNNI_TARGET
 void gemm_i8_nt_vnni(const std::int8_t* a, const std::int8_t* bt,
                      std::int32_t* c, std::uint32_t m, std::uint32_t n,
@@ -150,53 +150,61 @@ void gemm_i8_nt_vnni(const std::int8_t* a, const std::int8_t* bt,
     const std::uint32_t k_body = k & ~63U;
     const __mmask64 tail = (__mmask64{1} << (k & 63U)) - 1;
 
-    // 128 * sum_k B_T[j][k] per column, padded to whole 4-column groups.
-    std::vector<std::int32_t> offset((std::size_t{n} + 3) & ~std::size_t{3});
-    for (std::uint32_t j = 0; j < n; j += 4) {
-        const std::int8_t* b[4];
-        four_rows(bt, j, n, k, b);
-        __m512i s[4];
-        for (std::uint32_t q = 0; q < 4; ++q) {
-            s[q] = _mm512_setzero_si512();
-            for (std::uint32_t kk = 0; kk < k; kk += 64) {
-                const __mmask64 mask = kk < k_body ? ~__mmask64{0} : tail;
-                s[q] = _mm512_dpbusd_epi32(
-                    s[q], bias, _mm512_maskz_loadu_epi8(mask, b[q] + kk));
-            }
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(&offset[j]),
-                         reduce4(s[0], s[1], s[2], s[3]));
-    }
-
-    for (std::uint32_t i0 = 0; i0 < m; i0 += panel_rows) {
-        const std::uint32_t i_end = std::min(i0 + panel_rows, m);
-        for (std::uint32_t j = 0; j < n; j += 4) {
+    // Columns go in blocks of block_cols; the block's 128 * sum_k B_T[j][k]
+    // per column sits on the stack, so a call never touches the heap.
+    constexpr std::uint32_t block_cols = 1024;
+    alignas(16) std::int32_t offset[block_cols] = {};
+    for (std::uint32_t j0 = 0; j0 < n; j0 += block_cols) {
+        const std::uint32_t j_end = std::min(j0 + block_cols, n);
+        for (std::uint32_t j = j0; j < j_end; j += 4) {
             const std::int8_t* b[4];
             four_rows(bt, j, n, k, b);
-            const __m128i off =
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&offset[j]));
-            const std::uint32_t cols = std::min(4U, n - j);
-            for (std::uint32_t i = i0; i < i_end; i += 4) {
-                const std::int8_t* ar[4];
-                four_rows(a, i, m, k, ar);
-                __m512i acc[4][4];
-                for (auto& row : acc) {
-                    for (auto& v : row) {
-                        v = _mm512_setzero_si512();
-                    }
-                }
+            __m512i s[4];
+            for (std::uint32_t q = 0; q < 4; ++q) {
+                s[q] = _mm512_setzero_si512();
                 for (std::uint32_t kk = 0; kk < k; kk += 64) {
-                    tile_step(acc, ar, b, kk,
-                              kk < k_body ? ~__mmask64{0} : tail, bias);
+                    const __mmask64 mask =
+                        kk < k_body ? ~__mmask64{0} : tail;
+                    s[q] = _mm512_dpbusd_epi32(
+                        s[q], bias,
+                        _mm512_maskz_loadu_epi8(mask, b[q] + kk));
                 }
-                for (std::uint32_t r = 0; r < std::min(4U, m - i); ++r) {
-                    alignas(16) std::int32_t out[4];
-                    _mm_store_si128(reinterpret_cast<__m128i*>(out),
-                                    _mm_sub_epi32(reduce4(acc[r][0], acc[r][1],
-                                                          acc[r][2], acc[r][3]),
-                                                  off));
-                    std::memcpy(c + (i + r) * ldc + j, out,
-                                cols * sizeof(out[0]));
+            }
+            _mm_store_si128(reinterpret_cast<__m128i*>(&offset[j - j0]),
+                            reduce4(s[0], s[1], s[2], s[3]));
+        }
+
+        for (std::uint32_t i0 = 0; i0 < m; i0 += panel_rows) {
+            const std::uint32_t i_end = std::min(i0 + panel_rows, m);
+            for (std::uint32_t j = j0; j < j_end; j += 4) {
+                const std::int8_t* b[4];
+                four_rows(bt, j, n, k, b);
+                const __m128i off = _mm_load_si128(
+                    reinterpret_cast<const __m128i*>(&offset[j - j0]));
+                const std::uint32_t cols = std::min(4U, n - j);
+                for (std::uint32_t i = i0; i < i_end; i += 4) {
+                    const std::int8_t* ar[4];
+                    four_rows(a, i, m, k, ar);
+                    __m512i acc[4][4];
+                    for (auto& row : acc) {
+                        for (auto& v : row) {
+                            v = _mm512_setzero_si512();
+                        }
+                    }
+                    for (std::uint32_t kk = 0; kk < k; kk += 64) {
+                        tile_step(acc, ar, b, kk,
+                                  kk < k_body ? ~__mmask64{0} : tail, bias);
+                    }
+                    for (std::uint32_t r = 0; r < std::min(4U, m - i); ++r) {
+                        alignas(16) std::int32_t out[4];
+                        _mm_store_si128(
+                            reinterpret_cast<__m128i*>(out),
+                            _mm_sub_epi32(reduce4(acc[r][0], acc[r][1],
+                                                  acc[r][2], acc[r][3]),
+                                          off));
+                        std::memcpy(c + (i + r) * ldc + j, out,
+                                    cols * sizeof(out[0]));
+                    }
                 }
             }
         }

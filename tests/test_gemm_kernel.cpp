@@ -122,6 +122,8 @@ const Shape kShapes[] = {
     {1, 1, 1, 0},     {3, 5, 7, 0},     {16, 16, 16, 0},  {48, 48, 48, 0},
     {77, 131, 200, 0}, {5, 6, 63, 0},   {5, 6, 64, 0},    {5, 6, 65, 0},
     {9, 7, 127, 0},   {9, 7, 128, 0},   {7, 9, 33, 13},   {16, 10, 96, 24},
+    // More columns than one VNNI column block (1024), ragged last block.
+    {18, 1030, 70, 0}, {5, 2049, 9, 2051},
 };
 
 void expect_all_shapes_match(Kernel kernel)

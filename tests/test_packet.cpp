@@ -1,9 +1,16 @@
-// Unit tests for mem::Packet and the address-range helpers.
+// Unit tests for mem::Packet, the address-range helpers and the backing
+// store.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "mem/addr_range.hh"
 #include "mem/backing_store.hh"
 #include "mem/packet.hh"
+#include "sim/serialize.hh"
 
 namespace accesys::mem {
 namespace {
@@ -238,6 +245,128 @@ TEST(BackingStore, SparseAllocationOnlyTouched)
     store.write_obj<std::uint8_t>(0, 1);
     store.write_obj<std::uint8_t>(10 * kGiB, 1);
     EXPECT_EQ(store.chunks_allocated(), 2u);
+}
+
+TEST(BackingStore, MemoSlotCollisionsKeepEveryChunkDistinct)
+{
+    // Far more live chunks than memo slots, touched round-robin: whatever
+    // slots the keys share, every access must land in its own chunk.
+    BackingStore store;
+    constexpr std::uint64_t kChunks = 64;
+    const auto addr = [](std::uint64_t i) {
+        return 0x200000000000ULL + i * 3 * BackingStore::kChunkBytes + 8 * i;
+    };
+    for (int round = 0; round < 3; ++round) {
+        for (std::uint64_t i = 0; i < kChunks; ++i) {
+            store.write_obj<std::uint64_t>(addr(i), i * 1000 + round);
+        }
+        for (std::uint64_t i = 0; i < kChunks; ++i) {
+            EXPECT_EQ(store.read_obj<std::uint64_t>(addr(i)),
+                      i * 1000 + round);
+        }
+    }
+    EXPECT_EQ(store.chunks_allocated(), kChunks);
+}
+
+TEST(BackingStore, CopyFromUnallocatedChunkWritesZerosOnly)
+{
+    BackingStore store;
+    const std::vector<std::uint8_t> ones(3000, 0xff);
+    const Addr dst = 5 * BackingStore::kChunkBytes - 1000; // straddles
+    store.write(dst, ones.data(), ones.size());
+    ASSERT_EQ(store.chunks_allocated(), 2u);
+
+    store.copy(dst, 0x40000000, ones.size()); // source never touched
+    std::vector<std::uint8_t> out(ones.size(), 0x55);
+    store.read(dst, out.data(), out.size());
+    EXPECT_EQ(out, std::vector<std::uint8_t>(ones.size(), 0));
+    // The source stays unallocated: only the destination chunks exist.
+    EXPECT_EQ(store.chunks_allocated(), 2u);
+}
+
+TEST(BackingStore, ViewsPointInPlaceOrStage)
+{
+    BackingStore store;
+    std::vector<std::int32_t> data(100);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::int32_t>(i * 7) - 50;
+    }
+    const Addr inside = 0x10000 + 64;
+    const Addr straddle = 0x20000 - 40; // 10 elements before the boundary
+    store.write(inside, data.data(), data.size() * 4);
+    store.write(straddle, data.data(), data.size() * 4);
+
+    std::vector<std::int32_t> stage;
+    const std::int32_t* v = store.view(inside, data.size(), stage);
+    EXPECT_TRUE(stage.empty()) << "in-chunk view was staged";
+    EXPECT_TRUE(std::equal(data.begin(), data.end(), v));
+    const std::int32_t* w = store.view(straddle, data.size(), stage);
+    EXPECT_EQ(w, stage.data());
+    EXPECT_TRUE(std::equal(data.begin(), data.end(), w));
+
+    // An untouched range reads as zeros through a view and stays
+    // unallocated.
+    const std::size_t chunks = store.chunks_allocated();
+    const std::int32_t* z = store.view(0x900000, 8, stage);
+    EXPECT_TRUE(std::all_of(z, z + 8, [](std::int32_t x) { return x == 0; }));
+    EXPECT_EQ(store.chunks_allocated(), chunks);
+
+    // Writable views: a straddling one keeps the bytes it does not change
+    // and lands in the store only at commit.
+    std::vector<std::int32_t> wstage;
+    std::int32_t* m = store.mut_view(straddle, data.size(), wstage);
+    ASSERT_EQ(m, wstage.data());
+    m[5] = -1;
+    m[15] = -2;
+    EXPECT_EQ(store.read_obj<std::int32_t>(straddle + 15 * 4), data[15]);
+    store.commit_view(straddle, static_cast<const std::int32_t*>(m), wstage);
+    std::vector<std::int32_t> out(data.size());
+    store.read(straddle, out.data(), out.size() * 4);
+    std::vector<std::int32_t> want = data;
+    want[5] = -1;
+    want[15] = -2;
+    EXPECT_EQ(out, want);
+
+    // An in-chunk writable view writes straight through.
+    std::vector<std::int32_t> unused;
+    std::int32_t* p = store.mut_view(inside, data.size(), unused);
+    p[0] = 12345;
+    EXPECT_EQ(store.read_obj<std::int32_t>(inside), 12345);
+    EXPECT_TRUE(unused.empty());
+}
+
+TEST(BackingStore, ReadsAfterCheckpointLoadSeeLoadedBytes)
+{
+    const std::string path = ::testing::TempDir() + "backing_store.ckpt";
+    const std::vector<Addr> addrs = {0x1000, 0x7000000000ULL + 0x10,
+                                     0x20000 - 4};
+    {
+        BackingStore src;
+        for (std::size_t i = 0; i < addrs.size(); ++i) {
+            src.write_obj<std::uint64_t>(addrs[i], 0xabc0 + i);
+        }
+        Ckpt ar;
+        ar.begin_section("store");
+        src.serialize(ar);
+        ar.end_section();
+        ar.write_file(path, 0);
+    }
+    BackingStore dst;
+    // Warm the memo with stale contents first: the load overwrites the
+    // memoed chunks in place, so later reads must see the loaded bytes.
+    for (const Addr a : addrs) {
+        dst.write_obj<std::uint64_t>(a, 1);
+    }
+    Ckpt ar = Ckpt::load_file(path, 0);
+    ar.begin_section("store");
+    dst.serialize(ar);
+    ar.end_section();
+    std::remove(path.c_str());
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        EXPECT_EQ(dst.read_obj<std::uint64_t>(addrs[i]), 0xabc0 + i);
+    }
+    std::vector<std::uint64_t> stage;
+    EXPECT_EQ(*dst.view(addrs[0], 1, stage), 0xabc0u);
 }
 
 } // namespace
