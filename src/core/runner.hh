@@ -4,11 +4,16 @@
 // completion flag the device DMA-writes back; Non-GEMM operators run on the
 // CPU between offloads.
 //
-// Multi-accelerator scenarios: dispatch() stages one GEMM per call against
-// any endpoint; run_dispatched() then rings every staged doorbell
-// back-to-back and polls the completion flags, so all endpoints execute
-// concurrently and contend on the shared PCIe uplink. run_gemm() is the
-// single-device shorthand built on the same path.
+// GEMM offloads run on one round engine. Each round chooses slots (a job,
+// an endpoint, its flag and descriptor), stages one CPU program (a
+// descriptor-fill Call, one doorbell per slot, one bounded flag poll per
+// slot, an end-sample Call), runs it, and judges every slot by its
+// functional flag. Three thin front ends share it: run_dispatched() (and
+// run_gemm()) is a batch whose jobs all arrive at t0, pinned to their
+// dispatched endpoints in round 1; failover is the retry policy on those
+// rounds under a fault plan that allows more than one attempt; serve()
+// adds admission, shedding and SLO accounting on top. One checkpoint hook
+// carries the engine's state, so any front end resumes mid-round.
 #pragma once
 
 #include <memory>
@@ -65,7 +70,7 @@ enum class JobStatus {
     failed,    ///< every allowed attempt timed out (failover exhausted)
     rejected,  ///< serving admission refused it (full queue / tenant quota)
     shed,      ///< admitted but dropped (shed_oldest / deadline shedding)
-    pending,   ///< serving bookkeeping: not finally accounted yet
+    pending,   ///< not finally accounted yet (queued or in flight)
 };
 
 /// Endpoint health as tracked by the runner's failover machinery.
@@ -75,8 +80,8 @@ enum class EndpointHealth {
     quarantined, ///< consecutive-failure threshold hit; never dispatched
 };
 
-/// One attempt at running a job on some endpoint (failover runs record the
-/// full history; single-shot runs record exactly one).
+/// One attempt at running a job on some endpoint. Every run records its
+/// attempts: one per round the job was dispatched in.
 struct JobAttempt {
     std::size_t device = 0;
     JobStatus status = JobStatus::ok;
@@ -88,12 +93,12 @@ struct JobAttempt {
 struct DeviceGemmResult {
     std::size_t device = 0;
     workload::GemmSpec spec{};
-    /// Per-job outcome. Only fault runs with a job timeout can report
-    /// anything but `ok`: a clean run that loses a flag deadlocks loudly
-    /// instead (the old behaviour, preserved).
+    /// Per-job outcome. Only fault runs with a job timeout can end a job
+    /// as anything but `ok`: a clean run that loses a flag deadlocks
+    /// loudly instead. A checkpointed run leaves unfinished jobs `pending`.
     JobStatus status = JobStatus::ok;
-    /// Attempt history (failover runs only; empty on the classic
-    /// single-round path, where `status` is the whole story).
+    /// Attempt history: every run records one attempt per round the job
+    /// was dispatched in (exactly one when failover is disarmed).
     std::vector<JobAttempt> attempts;
     /// Tick the device finished posting its completion flag (device-side,
     /// so dispatch/poll order cannot bias completion-skew measurements).
@@ -273,8 +278,10 @@ class Runner {
                   Placement place, bool verify = false);
 
     /// Execute every dispatched GEMM concurrently: the CPU rings all
-    /// doorbells back-to-back, then polls each completion flag. Clears the
-    /// dispatch list.
+    /// doorbells back-to-back, then polls each completion flag. With an
+    /// active fault plan whose job_max_attempts > 1, failed jobs are
+    /// re-dispatched in further rounds (health tracking, FLR, bounded
+    /// retries). Clears the dispatch list.
     MultiGemmResult run_dispatched();
 
     /// Run one full ViT inference; returns the phase-split timing that
@@ -282,7 +289,7 @@ class Runner {
     VitRunResult run_vit(const workload::VitConfig& cfg, Placement place);
 
     /// Open-loop serving: drain `gen`'s arrival schedule through a bounded
-    /// admission queue and dispatch round-by-round across every endpoint
+    /// admission queue and run the round engine across every endpoint
     /// until the schedule is exhausted and the queue is empty. Overload
     /// behaviour (reject / shed / deadline-shed), watermark backpressure
     /// and per-tenant SLO accounting follow `scfg`; endpoint faults
@@ -292,12 +299,12 @@ class Runner {
     /// largest shape in the schedule, so queue + operand memory stay
     /// bounded no matter how long the overload lasts.
     ///
-    /// Checkpointing: all serving state (queue, in-flight round, ledger,
-    /// endpoint health) is covered by a "runner.serving" checkpoint hook;
-    /// a mid-overload snapshot restored via set_restore_path() + serve()
+    /// Checkpointing: the engine's "runner.rounds" hook covers the queue,
+    /// the in-flight round, the ledger and endpoint health, so a
+    /// mid-overload snapshot restored via set_restore_path() + serve()
     /// with the identical System/RequestGen/ServingConfig resumes
-    /// bit-identically. One serving Runner per System (the hook section
-    /// name is fixed).
+    /// bit-identically. One round-running Runner per System (the hook
+    /// section name is fixed).
     ServingResult serve(workload::RequestGen& gen, const ServingConfig& scfg);
 
     /// Restore checkpoint `path` before the next run enters the event
@@ -312,12 +319,13 @@ class Runner {
     void set_restore_path(std::string path) { restore_ = std::move(path); }
 
     /// Restore checkpoint `path` into the fresh System *without* running
-    /// it: re-stages a program with the same op shape as run_dispatched()
-    /// (the CPU's restored pc must land inside an identical program) and
-    /// then loads the snapshot. For tooling that measures or inspects
-    /// restored state only — the host-side sampling Calls are stubs, so
-    /// resume a run through set_restore_path() + run_dispatched() instead.
-    /// Clears the dispatch list.
+    /// it: re-stages the snapshot's in-flight round through the same
+    /// engine as run_dispatched() (the CPU's restored pc must land inside
+    /// an identical program) and then loads the snapshot. For tooling that
+    /// measures or inspects restored state only — nothing evaluates the
+    /// round, so resume a run through set_restore_path() + run_dispatched()
+    /// instead. The staged program refers to this Runner, which must
+    /// outlive any later run of the System. Clears the dispatch list.
     void restore_dispatched(const std::string& path);
 
   private:
@@ -334,7 +342,7 @@ class Runner {
     };
 
     /// Per-endpoint health record (hysteresis counters; persists across
-    /// run_dispatched() batches, like real fleet health would).
+    /// runs, like real fleet health would).
     struct EpHealth {
         EndpointHealth state = EndpointHealth::healthy;
         unsigned consecutive_failures = 0;
@@ -343,9 +351,9 @@ class Runner {
         std::uint64_t successes_total = 0;
     };
 
-    /// Fleet-level failover stats, registered only when failover is armed
-    /// (active plan with job_max_attempts > 1) so clean dumps are
-    /// unchanged.
+    /// Fleet-level failover stats, registered only when failover (active
+    /// plan with job_max_attempts > 1) or serving is armed, so clean dumps
+    /// are unchanged.
     struct FleetStats {
         explicit FleetStats(stats::Registry& reg)
             : group(reg, "runner.fleet"),
@@ -374,11 +382,11 @@ class Runner {
         stats::Scalar failures;
     };
 
-    /// Serving-path stats ("runner.serving" + one group per tenant),
-    /// registered on first serve() so non-serving dumps are unchanged.
-    struct ServingStats {
-        explicit ServingStats(stats::Registry& reg)
-            : group(reg, "runner.serving"),
+    /// Admission outcomes and the latency split, kept once for the fleet
+    /// ("runner.serving") and once per tenant ("runner.serving.<tenant>").
+    struct SloStats {
+        SloStats(stats::Registry& reg, const std::string& prefix)
+            : group(reg, prefix),
               offered(group, "offered", "requests presented for admission"),
               admitted(group, "admitted", "requests accepted into the queue"),
               rejected(group, "rejected",
@@ -388,23 +396,8 @@ class Runner {
               completed(group, "completed", "jobs finished successfully"),
               failed(group, "failed",
                      "admitted jobs abandoned after attempts/budget ran out"),
-              retries(group, "retries",
-                      "jobs re-queued after a failed attempt"),
-              rounds(group, "rounds", "dispatch rounds executed"),
-              idle_rounds(group, "idle_rounds",
-                          "empty-queue rounds spent waiting for an arrival"),
-              state(group, "state",
-                    "current ServingState (0 normal, 1 throttled, 2 shed)"),
-              throttle_enters(group, "throttle_enters",
-                              "transitions into ServingState::throttled"),
-              shed_enters(group, "shed_enters",
-                          "transitions into ServingState::shedding"),
-              verify_failures(group, "verify_failures",
-                              "completed jobs whose result mismatched"),
               goodput(group, "goodput_jobs_per_s",
                       "completed jobs per second over the serve horizon"),
-              queue_depth(group, "queue_depth",
-                          "admission-queue depth sampled per round"),
               queue_ns(group, "queue_ns",
                        "arrival -> first doorbell wait (completed jobs)"),
               service_ns(group, "service_ns",
@@ -419,6 +412,34 @@ class Runner {
         stats::Scalar shed;
         stats::Scalar completed;
         stats::Scalar failed;
+        stats::Scalar goodput;
+        stats::Distribution queue_ns;
+        stats::Distribution service_ns;
+        stats::Distribution e2e_ns;
+    };
+
+    /// Serving-path stats ("runner.serving" + one group per tenant),
+    /// registered on first serve() so non-serving dumps are unchanged.
+    struct ServingStats : SloStats {
+        explicit ServingStats(stats::Registry& reg)
+            : SloStats(reg, "runner.serving"),
+              retries(group, "retries",
+                      "jobs re-queued after a failed attempt"),
+              rounds(group, "rounds", "dispatch rounds executed"),
+              idle_rounds(group, "idle_rounds",
+                          "empty-queue rounds spent waiting for an arrival"),
+              state(group, "state",
+                    "current ServingState (0 normal, 1 throttled, 2 shed)"),
+              throttle_enters(group, "throttle_enters",
+                              "transitions into ServingState::throttled"),
+              shed_enters(group, "shed_enters",
+                          "transitions into ServingState::shedding"),
+              verify_failures(group, "verify_failures",
+                              "completed jobs whose result mismatched"),
+              queue_depth(group, "queue_depth",
+                          "admission-queue depth sampled per round")
+        {
+        }
         stats::Scalar retries;
         stats::Scalar rounds;
         stats::Scalar idle_rounds;
@@ -426,88 +447,96 @@ class Runner {
         stats::Scalar throttle_enters;
         stats::Scalar shed_enters;
         stats::Scalar verify_failures;
-        stats::Scalar goodput;
         stats::Distribution queue_depth;
-        stats::Distribution queue_ns;
-        stats::Distribution service_ns;
-        stats::Distribution e2e_ns;
 
-        /// Per-tenant SLO stat block ("runner.serving.<tenant>").
-        struct Tenant {
+        /// Per-tenant SLO stat block: the shared set plus percentiles.
+        struct Tenant : SloStats {
             Tenant(stats::Registry& reg, const std::string& name)
-                : group(reg, "runner.serving." + name),
-                  offered(group, "offered", "requests offered"),
-                  admitted(group, "admitted", "requests admitted"),
-                  rejected(group, "rejected", "requests rejected"),
-                  shed(group, "shed", "admitted jobs shed"),
-                  completed(group, "completed", "jobs completed"),
-                  failed(group, "failed", "jobs failed"),
+                : SloStats(reg, "runner.serving." + name),
                   p50_queue_ns(group, "p50_queue_ns", "median queueing time"),
                   p99_queue_ns(group, "p99_queue_ns", "p99 queueing time"),
                   p50_service_ns(group, "p50_service_ns",
                                  "median service time"),
                   p99_service_ns(group, "p99_service_ns", "p99 service time"),
                   p50_e2e_ns(group, "p50_e2e_ns", "median end-to-end latency"),
-                  p99_e2e_ns(group, "p99_e2e_ns", "p99 end-to-end latency"),
-                  goodput(group, "goodput_jobs_per_s",
-                          "completed jobs per second"),
-                  queue_ns(group, "queue_ns", "arrival -> first doorbell"),
-                  service_ns(group, "service_ns",
-                             "final doorbell -> completion"),
-                  e2e_ns(group, "e2e_ns", "arrival -> completion")
+                  p99_e2e_ns(group, "p99_e2e_ns", "p99 end-to-end latency")
             {
             }
-            stats::Group group;
-            stats::Scalar offered;
-            stats::Scalar admitted;
-            stats::Scalar rejected;
-            stats::Scalar shed;
-            stats::Scalar completed;
-            stats::Scalar failed;
             stats::Scalar p50_queue_ns;
             stats::Scalar p99_queue_ns;
             stats::Scalar p50_service_ns;
             stats::Scalar p99_service_ns;
             stats::Scalar p50_e2e_ns;
             stats::Scalar p99_e2e_ns;
-            stats::Scalar goodput;
-            stats::Distribution queue_ns;
-            stats::Distribution service_ns;
-            stats::Distribution e2e_ns;
         };
         std::vector<std::unique_ptr<Tenant>> tenants;
     };
 
-    /// One in-flight serving dispatch (trivially copyable -> pod_vec).
-    struct ServeSlot {
-        std::uint64_t job = 0;        ///< ledger index (request id)
-        std::uint64_t ep = 0;         ///< endpoint index
-        std::uint64_t flag_value = 0; ///< completion value this round waits on
+    /// One doorbell/poll slot of a round (trivially copyable -> pod_vec).
+    struct Slot {
+        std::uint64_t job = 0;        ///< ledger index
+        std::uint64_t ep = 0;         ///< endpoint whose doorbell is rung
+        Addr flag = 0;                ///< completion flag the CPU polls
+        std::uint64_t flag_value = 0; ///< value the device posts there
+        Addr desc = 0;                ///< command descriptor address
+        std::uint64_t dma_before = 0; ///< batch: endpoint DMA bytes at ring
     };
 
-    /// All serve() state that must survive a mid-run checkpoint; saved and
-    /// restored by the "runner.serving" hook (serialize_serving).
-    struct ServeState {
+    /// The round engine's state: everything a mid-round checkpoint must
+    /// carry, for every front end (the "runner.rounds" hook body).
+    struct Rounds {
         bool active = false;
-        std::uint8_t round_kind = 0; ///< 0 none, 1 dispatch, 2 idle
+        bool armed = false;   ///< health tracking, FLR and retries
+        bool serving = false; ///< front end: serve() vs run_dispatched()
+        std::uint8_t kind = 0; ///< in-flight round: 0 none, 1 dispatch, 2 idle
+        Tick start = kMaxTick; ///< run start (batch: the first fill Call)
+        Tick round_start = 0;  ///< sampled by the round's fill Call
+        Tick round_end = 0;    ///< sampled by the end Call (or drain tick)
         std::uint64_t idle_cycles = 0;
         std::uint64_t est_service_ticks = 0; ///< EMA, deadline shedding
         std::uint32_t retry_budget = 0;
         std::uint8_t state = 0; ///< ServingState
-        Tick start = 0;
         std::uint64_t rounds = 0;
         std::uint64_t idle_rounds = 0;
         std::uint64_t redispatches = 0;
         std::uint64_t flrs = 0;
-        std::vector<std::uint64_t> ep_flag_value; ///< per-ep flag sequence
-        std::vector<ServeSlot> slots;             ///< in-flight round
-        std::vector<std::uint64_t> queue;         ///< job ids, head first
-        std::vector<ServedJob> jobs;              ///< ledger by request id
+        std::vector<std::uint64_t> ep_flag_value; ///< serving flag sequence
+        std::vector<std::uint64_t> dma;           ///< batch: bytes per job
+        std::vector<Slot> slots;                  ///< in-flight round
+        std::vector<std::uint64_t> queue; ///< jobs awaiting dispatch, ascending
+        std::vector<ServedJob> jobs;      ///< ledger by job id
     };
 
-    /// Round-based failover path of run_dispatched() (armed by an active
-    /// fault plan with job_max_attempts > 1).
-    MultiGemmResult run_failover(const FaultPlan& plan);
+    /// serve()'s admission, shedding and SLO layer (runner.cc).
+    struct Serve;
+
+    /// Start a run of the round engine: arm fleet stats (failover or
+    /// serving), size the health table, register the checkpoint hook, and
+    /// either reset the round state (a batch queues every dispatched GEMM)
+    /// or peek it out of the checkpoint being restored. Returns the active
+    /// fault plan (defaults without one).
+    FaultPlan begin_rounds(bool serving);
+    /// Run rounds until the queue drains; false when a checkpoint stopped
+    /// the run. `srv` is null for batch runs.
+    bool run_rounds(const FaultPlan& plan, Serve* srv);
+    /// Fill the round's slots from the queue; false when none fits.
+    bool choose_slots(Serve* srv);
+    /// Endpoint for `job` this round, or kWait / kNever (runner.cc).
+    [[nodiscard]] std::ptrdiff_t pick_endpoint(
+        std::uint64_t job, const std::vector<bool>& claimed) const;
+    /// Stage the round's CPU program — the one place a doorbell/poll
+    /// program is built.
+    void stage_round(double timeout_ns, Serve* srv);
+    /// Judge every slot by its flag; returns the jobs to retry.
+    std::vector<std::uint64_t> evaluate_round(const FaultPlan& plan,
+                                              Serve* srv);
+    /// The one wrapper around Simulator::run(): flushes a partial stats
+    /// dump (and the health table when tracked) on SimError, diagnoses a
+    /// drain with work outstanding as a deadlock unless `may_drain`, and
+    /// sets `end` to the stop tick unless the program sampled it. Returns
+    /// false when the run stopped at a checkpoint.
+    bool run_staged(const char* what, bool may_drain, Tick& end);
+
     /// One line per endpoint: health state and hysteresis counters.
     [[nodiscard]] std::string health_summary() const;
 
@@ -516,20 +545,19 @@ class Runner {
     /// run (failures + successes). Determinism contract: ties break by the
     /// lowest endpoint index — the scan is an ascending-index pass with a
     /// strict `<`, so selection is a pure function of the health table and
-    /// never of any host-side iteration order. Shared by run_failover()
-    /// re-dispatch and serve() so both paths inherit the same guarantee.
+    /// never of any host-side iteration order.
     static std::ptrdiff_t least_loaded(const std::vector<EpHealth>& health,
                                        const std::vector<bool>& claimed,
                                        EndpointHealth want);
 
-    /// Success/failure sides of the endpoint-health hysteresis shared by
-    /// run_failover() and serve(). health_failure() also issues the FLR.
+    /// Success/failure sides of the endpoint-health hysteresis.
+    /// health_failure() also issues the FLR.
     void health_success(std::size_t ep, const FaultPlan& plan);
     void health_failure(std::size_t ep, const FaultPlan& plan);
 
-    /// Save/load every field of `serve_` plus the health table (the
-    /// "runner.serving" checkpoint-hook body).
-    void serialize_serving(Ckpt& ar);
+    /// Save/load the round state plus the health table (the
+    /// "runner.rounds" checkpoint-hook body).
+    void serialize_rounds(Ckpt& ar);
 
     System* sys_;
     std::vector<PendingGemm> pending_;
@@ -537,8 +565,8 @@ class Runner {
     std::vector<EpHealth> health_;
     std::unique_ptr<FleetStats> fleet_;
     std::unique_ptr<ServingStats> serving_;
-    std::unique_ptr<ServeState> serve_;
-    bool serving_hook_armed_ = false;
+    Rounds rounds_;
+    bool hook_armed_ = false;
 };
 
 /// Arm SIGINT/SIGTERM as checkpoint-then-exit: the handler posts an

@@ -55,7 +55,9 @@ class Ckpt {
     // v3: one event queue — the "sim", "sim.counters" and "pools" sections
     //     lose their domain/pool count prefixes and parallel-core counters.
     // v4: "sim.counters" loses the express-lane hit/spill counters.
-    static constexpr std::uint32_t kFormatVersion = 4;
+    // v5: the Runner's "runner.rounds" hook (every round-engine front end)
+    //     replaces "runner.serving".
+    static constexpr std::uint32_t kFormatVersion = 5;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 

@@ -137,6 +137,12 @@ TEST(FaultRecovery, DeadEndpointDegradesGracefully)
     // The dead link gave up on the doorbell after its replay budget.
     EXPECT_GT(sys.stat("link_dn1.link_dead_tlps"), 0.0);
     EXPECT_EQ(sys.stat("link_dn.link_dead_tlps"), 0.0);
+    // A single-attempt plan leaves failover disarmed: no fleet stats, no
+    // health tracking and no FLR of the dead endpoint.
+    EXPECT_EQ(sys.stats().find("runner.fleet.rounds"), nullptr);
+    EXPECT_TRUE(res.health.empty());
+    EXPECT_EQ(res.flrs, 0u);
+    EXPECT_EQ(sys.stat("mf1.flrs"), 0.0);
 }
 
 TEST(FaultRecovery, LinkFailureMidRunFailsJobGracefully)
@@ -357,7 +363,7 @@ TEST(FaultRecovery, DegradedEndpointRehabilitatesThenRequarantines)
         LegResult leg;
         for (std::size_t b = 0; b < specs.size(); ++b) {
             runner.dispatch(1, specs[b], Placement::host, true);
-            if (restore && sys.sim().now() == 0 &&
+            if (restore &&
                 leg.batch_ends.size() + 1 == 3) {
                 // Batch 3 contains the checkpoint: re-stage it and resume.
                 runner.set_restore_path(ckpt_path);

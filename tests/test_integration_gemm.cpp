@@ -158,6 +158,38 @@ TEST(IntegrationGemm, StatsAccounting)
     EXPECT_EQ(sys.stat("mf.tiles"), 16.0);
 }
 
+TEST(IntegrationGemm, CleanBatchRecordsOneAttemptPerJob)
+{
+    // Every run records its attempts: a clean 4-endpoint batch rings each
+    // job's doorbell exactly once, on the endpoint it was dispatched to,
+    // in the one round that spans the whole run. Jobs are dispatched in
+    // reverse endpoint order so "its endpoint" is not just its index.
+    auto cfg = SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    System sys(cfg);
+    Runner runner(sys);
+    for (std::size_t d = 0; d < 4; ++d) {
+        runner.dispatch(3 - d, GemmSpec{32, 32, 32, 3 + d}, Placement::host,
+                        /*verify=*/true);
+    }
+    const auto res = runner.run_dispatched();
+    ASSERT_TRUE(res.all_verified());
+    ASSERT_EQ(res.devices.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        const DeviceGemmResult& d = res.devices[i];
+        EXPECT_EQ(d.device, 3 - i);
+        EXPECT_EQ(d.status, JobStatus::ok);
+        ASSERT_EQ(d.attempts.size(), 1u) << "job " << i;
+        EXPECT_EQ(d.attempts[0].device, d.device) << "job " << i;
+        EXPECT_EQ(d.attempts[0].status, JobStatus::ok) << "job " << i;
+        EXPECT_EQ(d.attempts[0].start, res.start) << "job " << i;
+        EXPECT_EQ(d.attempts[0].end, res.end) << "job " << i;
+    }
+    // Failover is disarmed on a clean run: no health table, no fleet stats.
+    EXPECT_TRUE(res.health.empty());
+    EXPECT_EQ(sys.stats().find("runner.fleet.rounds"), nullptr);
+}
+
 TEST(IntegrationGemm, WideReuseAblationVerifies)
 {
     auto cfg = SystemConfig::paper_default();

@@ -502,10 +502,10 @@ TEST(CheckpointRoundTrip, MidFlrCheckpointRoundTripsBitIdentical)
     // clear, the drained DMA/command state and the deferred doorbell
     // kick, so the resumed run re-arms the endpoint on the same tick and
     // finishes byte-identical to the straight run. The failover path
-    // stays disarmed (job_max_attempts = 1): the test drives the
-    // hang -> FLR -> re-ring sequence manually in two classic rounds so
-    // the restore protocol (re-run the identical dispatch, then overwrite
-    // dynamic state) applies to the round containing the checkpoint.
+    // stays disarmed (job_max_attempts = 1) so the FLR is driven by hand
+    // between two single-round batches; failover's own round state
+    // (backlog, attempts, health, retry budget) is covered by
+    // MidFailoverRoundTwoRoundTripsBitIdentical below.
     auto make_cfg = [] {
         core::SystemConfig cfg = core::SystemConfig::paper_default();
         cfg.set_num_devices(2);
@@ -581,6 +581,67 @@ TEST(CheckpointRoundTrip, MidFlrCheckpointRoundTripsBitIdentical)
     EXPECT_EQ(straight.snap.stats_json, resumed.snap.stats_json);
     EXPECT_LT(save.snap.end_tick, straight.snap.end_tick)
         << "the save leg must have stopped at the mid-FLR checkpoint";
+}
+
+TEST(CheckpointRoundTrip, MidFailoverRoundTwoRoundTripsBitIdentical)
+{
+    // Failover's round state must ride in the snapshot: endpoint 1 hangs
+    // on every command, so its job times out in round 1, the endpoint is
+    // FLRed and degraded, and the job is re-dispatched in round 2. A
+    // checkpoint halfway through round 2 must carry the backlog, the
+    // attempt history, the retry budget and the health table, and the
+    // resumed process must re-stage round 2 (not round 1) so the run
+    // finishes byte-identical to the straight one.
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    cfg.fault_plan.hang_rate = 1.0;
+    cfg.fault_plan.hang_site = "mf1";
+    cfg.fault_plan.job_timeout_ns = 2e6;
+    cfg.fault_plan.job_max_attempts = 3;
+
+    struct Leg {
+        SimSnapshot snap;
+        core::MultiGemmResult res;
+    };
+    auto run_leg = [&](Tick ckpt_at, const std::string& ckpt_path,
+                       const std::string& restore) {
+        core::System sys(cfg);
+        core::Runner runner(sys);
+        for (std::size_t d = 0; d < 4; ++d) {
+            runner.dispatch(d, workload::GemmSpec{48, 48, 48, 7 + d},
+                            core::Placement::host, /*verify=*/true);
+        }
+        if (ckpt_at != 0) {
+            sys.sim().request_checkpoint_at(ckpt_path, ckpt_at);
+        }
+        if (!restore.empty()) {
+            runner.set_restore_path(restore);
+        }
+        Leg leg;
+        leg.res = runner.run_dispatched();
+        leg.snap = snapshot_of(sys, leg.res.all_verified());
+        return leg;
+    };
+
+    const Leg straight = run_leg(0, "", "");
+    ASSERT_TRUE(straight.snap.verified);
+    ASSERT_EQ(straight.res.devices[1].attempts.size(), 2u);
+    const core::JobAttempt& round2 = straight.res.devices[1].attempts[1];
+    ASSERT_LT(round2.start, round2.end);
+    const Tick mid = round2.start + (round2.end - round2.start) / 2;
+
+    const std::string path = ::testing::TempDir() + "mid_failover.ckpt";
+    const Leg save = run_leg(mid, path, "");
+    ASSERT_TRUE(save.res.checkpointed)
+        << "the save leg must stop inside failover round 2";
+    const Leg resumed = run_leg(0, "", path);
+    std::remove(path.c_str());
+
+    EXPECT_TRUE(resumed.snap.verified);
+    EXPECT_EQ(straight.snap.end_tick, resumed.snap.end_tick);
+    EXPECT_EQ(straight.snap.stats_text, resumed.snap.stats_text);
+    EXPECT_EQ(straight.snap.stats_json, resumed.snap.stats_json);
+    EXPECT_EQ(straight.res.health, resumed.res.health);
 }
 
 TEST(PoolDeterminism, SteadyStateForwardingAllocatesNothing)

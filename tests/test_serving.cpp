@@ -356,7 +356,7 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
     // Checkpoint in the middle of an overloaded serve — a full admission
     // queue, an in-flight dispatch round, a partially-drained arrival
     // schedule — and resume in a fresh process-equivalent System. The
-    // "runner.serving" hook must round-trip the queue, ledger, health
+    // "runner.rounds" hook must round-trip the queue, ledger, health
     // table and flag sequences so the resumed run finishes byte-identical
     // to the straight run.
     const ServeSnapshot straight = run_poisson_overload();
