@@ -45,6 +45,35 @@ void bm_event_queue(benchmark::State& state)
 }
 BENCHMARK(bm_event_queue)->Arg(16)->Arg(256)->Arg(4096);
 
+void bm_event_queue_steady(benchmark::State& state)
+{
+    // The shape of simulated traffic: a constant live set in which every
+    // fired event reschedules itself a small pseudo-random delta ahead.
+    // One iteration dispatches one event.
+    EventQueue q;
+    const int live = static_cast<int>(state.range(0));
+    std::vector<std::unique_ptr<Event>> events;
+    std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < live; ++i) {
+        Event* ev = events
+                        .emplace_back(std::make_unique<Event>(
+                            "e" + std::to_string(i), nullptr))
+                        .get();
+        ev->set_callback([&q, &rng, ev] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            q.schedule_in(*ev, 1 + (rng & 31));
+        });
+        q.schedule(*ev, 1 + static_cast<Tick>(i % 32));
+    }
+    for (auto _ : state) {
+        q.step();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_event_queue_steady)->Arg(4)->Arg(16)->Arg(32)->Arg(64);
+
 void bm_packet_alloc(benchmark::State& state)
 {
     // Pooled transaction-object churn: the per-hop make/route/response/

@@ -1,21 +1,10 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/serialize.hh"
-#include "sim/simd.hh"
 
 namespace accesys::cache {
-
-namespace {
-
-#ifdef ACCESYS_HAVE_VEC_EXT
-using simd::U64x4;
-using simd::match4;
-#endif
-
-} // namespace
 
 void CacheParams::validate() const
 {
@@ -56,7 +45,6 @@ Cache::Cache(Simulator& sim, std::string name, const CacheParams& params)
     lines_.resize(params_.num_sets() * params_.assoc);
     lru_.resize(lines_.size());
     mshrs_.resize(params_.mshrs);
-    mshr_keys_.assign(params_.mshrs, 0);
     mshr_free_bits_ = params_.mshrs == 64
                           ? ~std::uint64_t{0}
                           : (std::uint64_t{1} << params_.mshrs) - 1;
@@ -94,65 +82,28 @@ Cache::Line* Cache::find_line_l(Addr laddr)
 {
     // One compare per way: a valid line's tag_flags is tag|kValid, with
     // the dirty bit masked out of the comparison. Lines are one packed
-    // machine word each, so a set is a contiguous tag array and the scan
-    // vectorizes four ways per step.
+    // machine word each, so a set is a contiguous tag array.
     const std::uint64_t want = laddr | Line::kValid;
-    const std::uint64_t set = set_index(laddr);
-    Line* base = &lines_[set * params_.assoc];
-#ifdef ACCESYS_HAVE_VEC_EXT
-    unsigned w = 0;
-    for (; w + 4 <= params_.assoc; w += 4) {
-        const unsigned hits =
-            match4(&base[w].tag_flags, ~Line::kDirty, want);
-        if (hits != 0) {
-            return &base[w + static_cast<unsigned>(
-                                 __builtin_ctz(hits))];
-        }
-    }
-    for (; w < params_.assoc; ++w) {
-        if ((base[w].tag_flags & ~Line::kDirty) == want) {
-            return &base[w];
-        }
-    }
-#else
+    Line* base = &lines_[set_index(laddr) * params_.assoc];
     for (unsigned w = 0; w < params_.assoc; ++w) {
         if ((base[w].tag_flags & ~Line::kDirty) == want) {
             return &base[w];
         }
     }
-#endif
     return nullptr;
 }
 
 Cache::Mshr* Cache::find_mshr(Addr laddr)
 {
-    if (mshrs_live_ == 0) {
-        return nullptr;
-    }
-    const std::uint64_t want = laddr | 1;
-    const std::uint64_t* keys = mshr_keys_.data();
-    const std::size_t n = mshr_keys_.size();
-#ifdef ACCESYS_HAVE_VEC_EXT
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const unsigned hits = match4(&keys[i], ~std::uint64_t{0}, want);
-        if (hits != 0) {
-            return &mshrs_[i + static_cast<std::size_t>(
-                                   __builtin_ctz(hits))];
+    // Usually zero or one candidate: only slots whose line hashes to the
+    // same bucket share its bit.
+    for (std::uint64_t bits = mshr_buckets_[mshr_bucket(laddr)]; bits != 0;
+         bits &= bits - 1) {
+        Mshr& m = mshrs_[static_cast<std::size_t>(__builtin_ctzll(bits))];
+        if (m.laddr == laddr) {
+            return &m;
         }
     }
-    for (; i < n; ++i) {
-        if (keys[i] == want) {
-            return &mshrs_[i];
-        }
-    }
-#else
-    for (std::size_t i = 0; i < n; ++i) {
-        if (keys[i] == want) {
-            return &mshrs_[i];
-        }
-    }
-#endif
     return nullptr;
 }
 
@@ -177,44 +128,6 @@ Cache::Line& Cache::pick_victim(Addr addr)
     const std::uint64_t set = set_index(addr);
     Line* base = &lines_[set * params_.assoc];
     const std::uint64_t* lru_base = &lru_[set * params_.assoc];
-#ifdef ACCESYS_HAVE_VEC_EXT
-    if (params_.assoc % 4 == 0) {
-        // Invalid way wins immediately: vector-scan the valid bits.
-        for (unsigned w = 0; w < params_.assoc; w += 4) {
-            const unsigned frees = match4(&base[w].tag_flags, Line::kValid,
-                                          0);
-            if (frees != 0) {
-                return base[w +
-                            static_cast<unsigned>(__builtin_ctz(frees))];
-            }
-        }
-        if (params_.repl == CacheParams::Repl::random) {
-            return base[rng_.below(params_.assoc)];
-        }
-        // All valid: vector min over the LRU clocks (unique by
-        // construction), then locate the index with one more compare pass.
-        U64x4 mv;
-        std::memcpy(&mv, lru_base, sizeof(mv));
-        for (unsigned w = 4; w < params_.assoc; w += 4) {
-            U64x4 g;
-            std::memcpy(&g, &lru_base[w], sizeof(g));
-            const U64x4 sel = g < mv;
-            mv = (g & sel) | (mv & ~sel);
-        }
-        std::uint64_t best = mv[0];
-        best = mv[1] < best ? mv[1] : best;
-        best = mv[2] < best ? mv[2] : best;
-        best = mv[3] < best ? mv[3] : best;
-        for (unsigned w = 0; w < params_.assoc; w += 4) {
-            const unsigned hits = match4(&lru_base[w], ~std::uint64_t{0},
-                                         best);
-            if (hits != 0) {
-                return base[w +
-                            static_cast<unsigned>(__builtin_ctz(hits))];
-            }
-        }
-    }
-#endif
     // Single pass: an invalid way wins immediately, else track the LRU
     // minimum.
     unsigned victim = 0;
@@ -527,10 +440,25 @@ void Cache::serialize(Ckpt& ar)
     std::uint64_t live = mshrs_live_;
     ar.io(live);
     mshrs_live_ = static_cast<std::size_t>(live);
-    ar.pod_vec(mshr_keys_);
+    // Per-slot keys (laddr|1 live, 0 free): kept in the format, but the
+    // lookup index is derived from the slots below, so loads ignore them.
+    std::vector<std::uint64_t> keys;
+    for (const Mshr& m : mshrs_) {
+        keys.push_back(ar.saving() && m.live ? m.laddr | 1 : 0);
+    }
+    ar.pod_vec(keys);
     for (Mshr& m : mshrs_) {
         ar.io(m.laddr, m.live, m.fill_sent, m.dirty_on_fill);
         ckpt_packet_vec(ar, m.targets);
+    }
+    if (ar.loading()) {
+        mshr_buckets_.fill(0);
+        for (std::size_t i = 0; i < mshrs_.size(); ++i) {
+            if (mshrs_[i].live) {
+                mshr_buckets_[mshr_bucket(mshrs_[i].laddr)] |=
+                    std::uint64_t{1} << i;
+            }
+        }
     }
     rng_.serialize(ar);
     cpu_port_.serialize(ar);

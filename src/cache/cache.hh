@@ -14,6 +14,7 @@
 // complex, CPU) split accesses at line granularity.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "mem/packet.hh"
@@ -160,10 +161,13 @@ class Cache final : public SimObject,
     /// find_line with the line address already computed (hot paths derive
     /// it once per request instead of once per probe).
     [[nodiscard]] Line* find_line_l(Addr laddr);
-    /// Live MSHR tracking `laddr`, or nullptr. The lookup scans the packed
-    /// key array (`mshr_keys_`, laddr|1 when live, 0 when free), not the
-    /// slot structs — SIMD-compared in groups of four (see cache.cc).
+    /// Live MSHR tracking `laddr`, or nullptr: O(1) through the
+    /// line-address buckets (`mshr_buckets_`).
     [[nodiscard]] Mshr* find_mshr(Addr laddr);
+    [[nodiscard]] std::size_t mshr_bucket(Addr laddr) const
+    {
+        return (laddr >> line_shift_) & (kMshrBuckets - 1);
+    }
     /// Claim the lowest free slot for `laddr`; nullptr when all are busy.
     /// The free set is a bitmap (caches have <= 64 MSHRs in every preset),
     /// so the claim is one ctz instead of a key scan; the lowest-index
@@ -181,7 +185,7 @@ class Cache final : public SimObject,
         m.laddr = laddr;
         m.fill_sent = false;
         m.dirty_on_fill = false;
-        mshr_keys_[i] = laddr | 1;
+        mshr_buckets_[mshr_bucket(laddr)] |= std::uint64_t{1} << i;
         ++mshrs_live_;
         return &m;
     }
@@ -190,7 +194,7 @@ class Cache final : public SimObject,
         m.live = false;
         m.targets.clear(); // keeps capacity for the next miss
         const auto i = static_cast<std::size_t>(&m - mshrs_.data());
-        mshr_keys_[i] = 0;
+        mshr_buckets_[mshr_bucket(m.laddr)] &= ~(std::uint64_t{1} << i);
         mshr_free_bits_ |= std::uint64_t{1} << i;
         --mshrs_live_;
     }
@@ -231,8 +235,10 @@ class Cache final : public SimObject,
                               ///< machine word per way; LRU clocks parallel)
     std::vector<std::uint64_t> lru_; ///< parallel per-line LRU clocks
     std::vector<Mshr> mshrs_; ///< fixed slot pool (params_.mshrs entries)
-    /// Packed per-slot lookup keys (laddr|1 live, 0 free), scanned SIMD.
-    std::vector<std::uint64_t> mshr_keys_;
+    /// Live-slot bitmaps by line-address bucket: consecutive lines (a DMA
+    /// stream's misses) land in distinct buckets.
+    static constexpr std::size_t kMshrBuckets = 64;
+    std::array<std::uint64_t, kMshrBuckets> mshr_buckets_{};
     std::uint64_t mshr_free_bits_ = 0; ///< free-slot bitmap (lowest first)
     std::size_t mshrs_live_ = 0;
     /// Fill responses find their MSHR in O(1): the fill read's tag carries

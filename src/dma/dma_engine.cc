@@ -83,32 +83,32 @@ void DmaEngine::pump()
         repump_ = false;
         while (active_.size() < params_.channels && !queued_.empty()) {
             JobState* js = acquire_job_state();
-            js->job = std::move(queued_.front());
-            queued_.pop_front();
+            js->job = queued_.take_front();
             active_.push_back(js);
         }
         // Round-robin service across the active channels.
-        for (JobState* js : active_) {
-            if (js->job.dir == DmaJob::Dir::host_to_dev) {
-                pump_read(*js);
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+            JobState& js = *active_[i];
+            if (js.job.dir == DmaJob::Dir::host_to_dev) {
+                pump_read(js);
             } else {
-                pump_write(*js);
+                pump_write(js);
             }
         }
         // Reap any job that completed during pumping.
-        for (auto it = active_.begin(); it != active_.end();) {
-            if ((*it)->finished >= (*it)->job.bytes) {
-                JobState* js = *it;
-                const Continuation cb = js->job.on_complete;
-                js->job = DmaJob{}; // drop the descriptor before recycling
-                job_free_.push_back(js);
-                it = active_.erase(it);
-                ++jobs_done_;
-                if (cb) {
-                    cb.fire();
-                }
-            } else {
-                ++it;
+        for (std::size_t i = 0; i < active_.size();) {
+            JobState* js = active_[i];
+            if (js->finished < js->job.bytes) {
+                ++i;
+                continue;
+            }
+            const Continuation cb = js->job.on_complete;
+            js->job = DmaJob{}; // drop the descriptor before recycling
+            job_free_.push_back(js);
+            active_.erase_at(i);
+            ++jobs_done_;
+            if (cb) {
+                cb.fire();
             }
         }
         if (!queued_.empty() && active_.size() < params_.channels) {
@@ -265,8 +265,7 @@ void DmaEngine::fail_job(JobState& js)
             window_in_use_ -= ts.bytes;
         }
     }
-    active_.erase(std::remove(active_.begin(), active_.end(), &js),
-                  active_.end());
+    active_.erase_at(active_index(&js));
     // Job-level failure: the completion callback is dropped, never fired —
     // the consumer (accelerator pipeline, and transitively the host's
     // completion-flag poll) observes the failure as absence of progress.
@@ -290,11 +289,10 @@ void DmaEngine::flr_reset()
     window_in_use_ = 0;
     // Reset discards jobs without firing continuations: the controller
     // state they would notify dies with the same reset.
-    for (JobState* js : active_) {
-        js->job = DmaJob{};
-        job_free_.push_back(js);
+    while (!active_.empty()) {
+        active_.front()->job = DmaJob{};
+        job_free_.push_back(active_.take_front());
     }
-    active_.clear();
     queued_.clear();
     // A scheduled watchdog tick fires over all-free tags and goes idle.
 }
@@ -371,12 +369,12 @@ void DmaEngine::serialize_jobs(Ckpt& ar)
     std::uint64_t n_queued = queued_.size();
     ar.io(n_active, n_queued);
     if (ar.saving()) {
-        for (JobState* js : active_) {
-            ckpt_dma_job(ar, js->job, listener_);
-            ar.io(js->issued, js->finished);
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+            ckpt_dma_job(ar, active_[i]->job, listener_);
+            ar.io(active_[i]->issued, active_[i]->finished);
         }
-        for (DmaJob& job : queued_) {
-            ckpt_dma_job(ar, job, listener_);
+        for (std::size_t i = 0; i < queued_.size(); ++i) {
+            ckpt_dma_job(ar, queued_[i], listener_);
         }
     } else {
         ensure(active_.empty() && queued_.empty(), name(),
@@ -404,12 +402,7 @@ void DmaEngine::serialize(Ckpt& ar)
         ar.io(ts.busy, ts.offset, ts.bytes, ts.deadline, ts.retries);
         std::uint64_t job_idx = ~0ULL;
         if (ar.saving() && ts.busy) {
-            const auto it =
-                std::find(active_.begin(), active_.end(), ts.job);
-            ensure(it != active_.end(), name(),
-                   ": busy tag points at a retired job");
-            job_idx =
-                static_cast<std::uint64_t>(it - active_.begin());
+            job_idx = active_index(ts.job);
         }
         ar.io(job_idx);
         if (ar.loading()) {
@@ -442,12 +435,19 @@ std::uint64_t DmaEngine::encode_sent_hook(const pcie::SentHook& h) const
 {
     ensure(h.fn == &DmaEngine::write_sent_cb, name(),
            ": unencodable SentHook staged in egress");
+    const std::uint64_t idx =
+        active_index(static_cast<const JobState*>(h.ctx));
+    return (idx << 32) | h.arg;
+}
+
+std::size_t DmaEngine::active_index(const JobState* js) const
+{
     for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (active_[i] == h.ctx) {
-            return (static_cast<std::uint64_t>(i) << 32) | h.arg;
+        if (active_[i] == js) {
+            return i;
         }
     }
-    panic(name(), ": SentHook context is not an active DMA job");
+    panic(name(), ": not an active DMA job");
 }
 
 pcie::SentHook DmaEngine::decode_sent_hook(std::uint64_t code)

@@ -11,13 +11,13 @@
 // timing/functional split.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "mem/backing_store.hh"
 #include "pcie/tlp.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::dma {
@@ -208,6 +208,8 @@ class DmaEngine final : public SimObject {
     void pump_read(JobState& js);
     void pump_write(JobState& js);
     [[nodiscard]] JobState* acquire_job_state();
+    /// Position of `js` in `active_` (panics when it is not active).
+    [[nodiscard]] std::size_t active_index(const JobState* js) const;
     void arm_timeout(Tick deadline);
     void check_timeouts();
     void fail_job(JobState& js);
@@ -223,10 +225,10 @@ class DmaEngine final : public SimObject {
     /// through `job_free_` (TagState/SentHook back-pointers stay valid for
     /// a slot's whole active life) so the steady state allocates nothing;
     /// the pool only grows the first time each channel depth is reached.
-    std::deque<JobState*> active_;
+    RingBuffer<JobState*> active_;
     std::vector<std::unique_ptr<JobState>> job_pool_;
     std::vector<JobState*> job_free_;
-    std::deque<DmaJob> queued_;
+    RingBuffer<DmaJob> queued_;
     std::vector<TagState> tags_;
     /// Bitmap of free tags (bit set = free): the read pump claims the
     /// lowest free tag with a ctz instead of a linear busy scan.

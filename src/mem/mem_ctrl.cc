@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/serialize.hh"
-#include "sim/simd.hh"
 
 namespace accesys::mem {
 
@@ -153,39 +152,19 @@ void MemCtrl::issue_next()
         // Each queued read's packed (channel,bank,row) key (stamped at
         // admission) is compared against its bank's open-row key — first
         // match in age order wins, exactly like the decode-based probe loop
-        // this replaces, but at one 64-bit compare per entry, four entries
-        // per SIMD step.
+        // this replaces, but at one 64-bit compare per entry.
         std::size_t pick = 0;
         bool window_hit = false;
         const std::size_t window =
             std::min(params_.frfcfs_window, read_q_.size());
         const std::uint64_t* open = dram_.open_keys();
         const std::uint64_t smask = dram_.slot_mask();
-        std::size_t i = 0;
-#ifdef ACCESYS_HAVE_VEC_EXT
-        for (; i + 4 <= window; i += 4) {
-            std::uint64_t keys[4];
-            std::uint64_t opens[4];
-            for (unsigned j = 0; j < 4; ++j) {
-                keys[j] = read_keys_[i + j];
-                opens[j] = open[keys[j] & smask];
-            }
-            const unsigned hits = simd::match4(keys, opens);
-            if (hits != 0) {
-                pick = i + static_cast<unsigned>(__builtin_ctz(hits));
+        for (std::size_t i = 0; i < window; ++i) {
+            const std::uint64_t key = read_keys_[i];
+            if (open[key & smask] == key) {
+                pick = i;
                 window_hit = true;
                 break;
-            }
-        }
-#endif
-        if (!window_hit) {
-            for (; i < window; ++i) {
-                const std::uint64_t key = read_keys_[i];
-                if (open[key & smask] == key) {
-                    pick = i;
-                    window_hit = true;
-                    break;
-                }
             }
         }
         if (window_hit) {

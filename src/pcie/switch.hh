@@ -12,7 +12,6 @@
 // component" (paper §V-B1b).
 #pragma once
 
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -84,9 +83,9 @@ class PcieSwitch final : public SimObject, public PcieNode {
 
     SwitchParams params_;
     Tick latency_ticks_ = 0; ///< precomputed ticks_from_ns(latency_ns)
-    /// Egress ports; index 0 = upstream. Deque: elements hold move-only
-    /// queues and must never relocate.
-    std::deque<Egress> egress_;
+    /// Egress ports; index 0 = upstream. Sized while wiring only, so
+    /// references taken while forwarding stay valid.
+    std::vector<Egress> egress_;
     std::vector<Downstream> downstream_; ///< parallel to egress_[1..]
     /// requester id -> egress index; flat (a handful of entries), scanned
     /// linearly on the completion routing fast path.

@@ -122,24 +122,11 @@ bool Smmu::fault_roll(std::uint32_t stream)
 void Smmu::map_stream(std::uint32_t from, std::uint32_t to)
 {
     stream_remap_[from] = to;
-}
-
-std::uint32_t Smmu::effective_stream(const mem::Packet& pkt) const
-{
-    if (stream_remap_.empty()) {
-        return pkt.stream(); // no remaps configured: skip the map probe
-    }
-    const auto it = stream_remap_.find(pkt.stream());
-    return it == stream_remap_.end() ? pkt.stream() : it->second;
+    last_ctx_ = nullptr; // the memo may hold `from`'s old resolution
 }
 
 Smmu::StreamCtx& Smmu::stream_ctx(std::uint32_t stream)
 {
-    // Memoise the last stream: device traffic arrives in long same-stream
-    // bursts, and contexts are never destroyed, so the pointer stays valid.
-    if (last_ctx_ != nullptr && last_stream_ == stream) {
-        return *last_ctx_;
-    }
     auto it = streams_.find(stream);
     if (it == streams_.end()) {
         it = streams_
@@ -150,8 +137,20 @@ Smmu::StreamCtx& Smmu::stream_ctx(std::uint32_t stream)
                               params_))
                  .first;
     }
-    last_stream_ = stream;
-    last_ctx_ = it->second.get();
+    return *it->second;
+}
+
+Smmu::StreamCtx& Smmu::packet_ctx(std::uint32_t raw)
+{
+    // Memoise the last raw id: device traffic arrives in long same-stream
+    // bursts, and contexts are never destroyed, so the pointer stays valid
+    // until a remap changes (map_stream, restore).
+    if (last_ctx_ == nullptr || last_raw_ != raw) {
+        const auto it = stream_remap_.find(raw);
+        last_raw_ = raw;
+        last_stream_ = it == stream_remap_.end() ? raw : it->second;
+        last_ctx_ = &stream_ctx(last_stream_);
+    }
     return *last_ctx_;
 }
 
@@ -174,8 +173,8 @@ bool Smmu::recv_req(mem::PacketPtr& pkt)
     }
     const std::uint64_t vpn = vpn_of(va);
     const Tick arrived = now();
-    const std::uint32_t stream = effective_stream(*pkt);
-    StreamCtx& ctx = stream_ctx(stream);
+    StreamCtx& ctx = packet_ctx(pkt->stream());
+    const std::uint32_t stream = last_stream_;
 
     if (fault_ != nullptr && fault_roll(stream)) {
         // Seeded translation fault (unmapped page): no walk happens. A
@@ -460,8 +459,6 @@ void Smmu::serialize(Ckpt& ar)
         ensure(streams_.size() == n_streams, name(),
                ": restore into an SMMU whose live streams diverge from "
                "the snapshot");
-        last_ctx_ = nullptr;
-        last_stream_ = 0;
     }
 
     // Stream remaps (config-driven, but cheap to carry and verify).
@@ -485,6 +482,7 @@ void Smmu::serialize(Ckpt& ar)
             ar.io(k, v);
             stream_remap_[k] = v;
         }
+        last_ctx_ = nullptr;
     }
 
     tlb_.serialize(ar);

@@ -210,7 +210,9 @@ class Smmu final : public SimObject,
         bool active = false;
     };
 
-    [[nodiscard]] std::uint32_t effective_stream(const mem::Packet& pkt) const;
+    /// Context of a packet's raw stream id with its remap applied; the
+    /// resolved id is left in `last_stream_`.
+    [[nodiscard]] StreamCtx& packet_ctx(std::uint32_t raw);
     void finish_translation(StreamCtx& ctx, mem::PacketPtr pkt,
                             std::uint64_t ppn, Tick arrived, Tick done_at);
     void start_walk_or_queue(std::uint64_t vpn);
@@ -256,8 +258,9 @@ class Smmu final : public SimObject,
     Tlb tlb_; ///< main TLB, shared across streams
     /// Per-stream contexts (stable addresses: stats self-register).
     std::map<std::uint32_t, std::unique_ptr<StreamCtx>> streams_;
-    /// One-entry stream_ctx() memo (contexts are never destroyed).
+    /// One-entry packet_ctx() memo: raw id -> remapped id and context.
     StreamCtx* last_ctx_ = nullptr;
+    std::uint32_t last_raw_ = 0;
     std::uint32_t last_stream_ = 0;
     std::unordered_map<std::uint32_t, std::uint32_t> stream_remap_;
 

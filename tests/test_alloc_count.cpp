@@ -1,8 +1,9 @@
-// Heap allocations on the device-memory data path. Every DevMem transfer
-// (mover job, response, strip) must run without touching the heap once its
-// rings and pools have grown to the working set, so the allocation count
-// of a whole GEMM must not grow with the matrix size. This binary replaces
-// the global operator new with a counting one to check that.
+// Heap allocations on the GEMM data paths. Every transfer — a DevMem mover
+// job, response or strip, or a host-placement DMA job and its chunks — must
+// run without touching the heap once its rings and pools have grown to the
+// working set, so the allocation count of a whole GEMM must not grow with
+// the matrix size. This binary replaces the global operator new with a
+// counting one to check that.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,15 +38,17 @@ void operator delete(void* p, std::size_t) noexcept
 namespace accesys {
 namespace {
 
-/// Allocations made inside run_dispatched() of one verified 1-device
-/// HBM2 devmem GEMM of size n^3.
-std::uint64_t run_allocs(std::uint32_t n)
+/// Allocations made inside run_dispatched() of one verified 1-device GEMM
+/// of size n^3: operands in HBM2 device memory or in host DRAM.
+std::uint64_t run_allocs(std::uint32_t n, core::Placement place)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
-    cfg.set_devmem("HBM2");
+    if (place == core::Placement::devmem) {
+        cfg.set_devmem("HBM2");
+    }
     core::System sys(cfg);
     core::Runner runner(sys);
-    runner.dispatch(0, workload::GemmSpec{n, n, n, 11}, core::Placement::devmem,
+    runner.dispatch(0, workload::GemmSpec{n, n, n, 11}, place,
                     /*verify=*/true);
     const std::uint64_t before = g_allocs;
     const auto res = runner.run_dispatched();
@@ -54,15 +57,25 @@ std::uint64_t run_allocs(std::uint32_t n)
     return allocs;
 }
 
+/// 256^3 moves 8x the bytes of 128^3 through 4x the strips; a per-transfer
+/// or per-strip allocation shows up as hundreds or thousands here.
+void expect_flat(core::Placement place)
+{
+    const std::uint64_t small = run_allocs(128, place);
+    const std::uint64_t large = run_allocs(256, place);
+    ::testing::Test::RecordProperty("allocs_128", static_cast<int>(small));
+    ::testing::Test::RecordProperty("allocs_256", static_cast<int>(large));
+    EXPECT_LT(large, small + 64) << "128^3: " << small << ", 256^3: " << large;
+}
+
 TEST(DevMemAllocations, DoNotGrowWithGemmSize)
 {
-    // 256^3 moves 8x the bytes of 128^3 through 4x the strips; a
-    // per-transfer or per-strip allocation shows up as thousands here.
-    const std::uint64_t small = run_allocs(128);
-    const std::uint64_t large = run_allocs(256);
-    RecordProperty("allocs_128", static_cast<int>(small));
-    RecordProperty("allocs_256", static_cast<int>(large));
-    EXPECT_LT(large, small + 64) << "128^3: " << small << ", 256^3: " << large;
+    expect_flat(core::Placement::devmem);
+}
+
+TEST(HostAllocations, DoNotGrowWithGemmSize)
+{
+    expect_flat(core::Placement::host);
 }
 
 } // namespace

@@ -1,10 +1,12 @@
 // Tests for the set-associative write-back cache.
 #include "test_util.hh"
 
+#include <cstdio>
 #include <tuple>
 
 #include "cache/cache.hh"
 #include "mem/mem_ctrl.hh"
+#include "sim/serialize.hh"
 
 namespace accesys::cache {
 namespace {
@@ -175,6 +177,54 @@ TEST_F(CacheFixture, MshrCoalescesSameLine)
     EXPECT_EQ(memory.requests.size(), 1u); // one fill for both
     serve_memory();
     EXPECT_EQ(cpu.responses.size(), 2u);
+}
+
+TEST_F(CacheFixture, RestoredMshrStillCoalescesSameLine)
+{
+    // The MSHR lookup index is not in the checkpoint; a restore rebuilds
+    // it, so a same-line miss after the restore joins the restored MSHR.
+    // Both caches draw the same fill requestor id, as a restore into a
+    // rebuilt System does.
+    mem::reset_requestor_ids();
+    auto cache = make();
+    auto p1 = Packet::make_read(0x100, 8);
+    ASSERT_TRUE(cpu.port().send_req(p1));
+    test::drain(sim);
+    ASSERT_EQ(memory.requests.size(), 1u); // fill in flight, MSHR live
+    const std::string path = ::testing::TempDir() + "cache_mshr.ckpt";
+    {
+        Ckpt ar;
+        ar.begin_section("cache");
+        cache->serialize(ar);
+        ar.end_section();
+        ar.write_file(path, 0);
+    }
+
+    Simulator sim2;
+    MockRequestor cpu2{"cpu2"};
+    MockResponder memory2{"mem2"};
+    mem::reset_requestor_ids();
+    Cache restored(sim2, "cache", params);
+    cpu2.port().bind(restored.cpu_side());
+    restored.mem_side().bind(memory2.port());
+    {
+        Ckpt ar = Ckpt::load_file(path, 0);
+        ar.begin_section("cache");
+        restored.serialize(ar);
+        ar.end_section();
+    }
+    std::remove(path.c_str());
+
+    auto p2 = Packet::make_read(0x120, 8); // same line
+    ASSERT_TRUE(cpu2.port().send_req(p2));
+    test::drain(sim2);
+    EXPECT_EQ(memory2.requests.size(), 0u); // no second fill
+    // The original fill completes both the restored and the new target.
+    memory2.requests.push_back(std::move(memory.requests.front()));
+    memory.requests.pop_front();
+    ASSERT_TRUE(memory2.answer_one());
+    test::drain(sim2);
+    EXPECT_EQ(cpu2.responses.size(), 2u);
 }
 
 TEST_F(CacheFixture, MshrExhaustionBackpressures)

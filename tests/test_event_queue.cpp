@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "sim/event.hh"
 #include "sim/random.hh"
 #include "sim/ring_buffer.hh"
+#include "sim/serialize.hh"
 #include "sim/simulator.hh"
 
 namespace accesys {
@@ -280,12 +282,107 @@ TEST_P(EventQueueRandomized, MatchesReferenceModel)
     EXPECT_EQ(fired, expected);
     EXPECT_TRUE(model.empty());
     EXPECT_TRUE(q.empty());
+    // Up to kEvents live entries overflow the near window, so both overflow
+    // paths ran: entries pushed to the heap, and ring entries spilled to it
+    // by an earlier arrival into a full ring. A spill is the one schedule
+    // counted both as a ring hit and as a heap push.
+    EXPECT_GT(q.heap_pushes(), 0u);
+    EXPECT_GT(q.heap_pushes() + q.near_ring_hits(), q.events_scheduled());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, EventQueueRandomized,
     ::testing::Combine(::testing::Values(1, 2, 3, 17, 99, 12345),
                        ::testing::Bool()));
+
+// Restore re-inserts every pending event through the heap. With more live
+// events than the near window holds, the resumed run must still dispatch
+// in the uninterrupted run's exact order.
+TEST(EventQueue, RestoreWithOverflowedWindowMatchesStraightRun)
+{
+    constexpr int kLive = 48;
+    constexpr Tick kMid = 2000;
+    constexpr Tick kEnd = 5000;
+    static constexpr int kPrios[] = {kPrioEarly, kPrioDefault, kPrioLate};
+    using Log = std::vector<std::pair<Tick, int>>;
+
+    // kLive self-rescheduling events; event i's k-th delay is a pure
+    // function of (i, k), so the fire counts are the whole model state.
+    struct Model {
+        EventQueue q;
+        std::vector<std::unique_ptr<Event>> events;
+        std::vector<std::uint64_t> fires = std::vector<std::uint64_t>(kLive);
+        Log log;
+
+        Model()
+        {
+            for (int i = 0; i < kLive; ++i) {
+                events.push_back(std::make_unique<Event>(
+                    "e" + std::to_string(i),
+                    [this, i] {
+                        log.push_back({q.now(), i});
+                        const std::uint64_t h =
+                            (static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ULL) ^
+                            (++fires[i] * 0xBF58476D1CE4E5B9ULL);
+                        q.schedule_in(*events[i], 1 + (h >> 59));
+                    },
+                    kPrios[i % 3]));
+            }
+        }
+        void start()
+        {
+            for (int i = 0; i < kLive; ++i) {
+                q.schedule(*events[i], 1 + static_cast<Tick>(i % 7));
+            }
+        }
+        void serialize(Ckpt& ar)
+        {
+            ar.begin_section("clock");
+            q.serialize_clock(ar);
+            ar.end_section();
+            ar.begin_section("events");
+            for (auto& ev : events) {
+                ev->serialize(ar, q);
+            }
+            ar.pod_vec(fires);
+            ar.end_section();
+            ar.begin_section("counters");
+            q.serialize_counters(ar);
+            ar.end_section();
+        }
+    };
+
+    Model straight;
+    straight.start();
+    straight.q.run(kMid);
+    straight.q.run(kEnd);
+
+    const std::string path = ::testing::TempDir() + "event_queue.ckpt";
+    Model before;
+    before.start();
+    before.q.run(kMid);
+    ASSERT_GT(before.q.live_event_count(), 32u);
+    {
+        Ckpt ar;
+        before.serialize(ar);
+        ar.write_file(path, 0);
+    }
+    Model after;
+    after.q.restore_begin();
+    {
+        Ckpt ar = Ckpt::load_file(path, 0);
+        after.serialize(ar);
+    }
+    std::remove(path.c_str());
+    ASSERT_TRUE(after.q.restore_complete());
+    after.q.run(kEnd);
+
+    Log resumed = before.log;
+    resumed.insert(resumed.end(), after.log.begin(), after.log.end());
+    EXPECT_EQ(resumed, straight.log);
+    EXPECT_EQ(after.q.now(), straight.q.now());
+    EXPECT_EQ(after.q.events_processed(), straight.q.events_processed());
+}
 
 TEST(EventQueue, ScheduleNowRunsAfterCurrentEvent)
 {

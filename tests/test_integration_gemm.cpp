@@ -190,6 +190,31 @@ TEST(IntegrationGemm, CleanBatchRecordsOneAttemptPerJob)
     EXPECT_EQ(sys.stats().find("runner.fleet.rounds"), nullptr);
 }
 
+// The event core's near window is sized to hold the live set of a
+// 4-endpoint fleet, leaving the heap as the overflow path. An exact count:
+// one heap push means the window no longer holds these workloads (the
+// devmem case spills from a 16-entry window).
+TEST(IntegrationGemm, FourEndpointLiveSetFitsTheNearWindow)
+{
+    for (const auto& [place, n] : {std::pair{Placement::host, 128U},
+                                   std::pair{Placement::devmem, 192U}}) {
+        SystemConfig cfg = SystemConfig::paper_default();
+        if (place == Placement::devmem) {
+            cfg.set_devmem("HBM2");
+        }
+        cfg.set_num_devices(4);
+        System sys(cfg);
+        Runner runner(sys);
+        for (std::size_t d = 0; d < 4; ++d) {
+            runner.dispatch(d, GemmSpec{n, n, n, 5 + d}, place,
+                            /*verify=*/true);
+        }
+        EXPECT_TRUE(runner.run_dispatched().all_verified());
+        EXPECT_EQ(sys.sim().queue().heap_pushes(), 0u)
+            << (place == Placement::host ? "host" : "devmem");
+    }
+}
+
 TEST(IntegrationGemm, WideReuseAblationVerifies)
 {
     auto cfg = SystemConfig::paper_default();

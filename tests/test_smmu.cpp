@@ -205,6 +205,28 @@ TEST_F(SmmuFixture, SecondAccessHitsUtlb)
     EXPECT_EQ(smmu->utlb().hits(), 1u);
 }
 
+TEST_F(SmmuFixture, StreamRemapAddedAfterTrafficTakesEffect)
+{
+    // The stream resolution is memoised per raw id; a remap installed once
+    // that id has already translated must still redirect its next request.
+    build();
+    pt->map_identity(0x5000, kPageBytes);
+    const auto send = [&](Addr va) {
+        auto pkt = translated_read(va);
+        pkt->set_stream(5);
+        ASSERT_TRUE(dev.port().send_req(pkt));
+        test::drain(sim);
+    };
+    send(0x5000);
+    EXPECT_EQ(sim.stats().value("smmu.stream5.translations"), 1.0);
+    smmu->map_stream(5, 7);
+    send(0x5040);
+    EXPECT_EQ(sim.stats().value("smmu.stream5.translations"), 1.0);
+    EXPECT_EQ(sim.stats().value("smmu.stream7.translations"), 1.0);
+    // Stream 7's micro-TLB is cold, so the remapped request missed it.
+    EXPECT_EQ(sim.stats().value("smmu.stream7.utlb_misses"), 1.0);
+}
+
 TEST_F(SmmuFixture, PwcShortensLaterWalks)
 {
     build();
