@@ -31,8 +31,8 @@ void bm_event_queue(benchmark::State& state)
     std::vector<std::unique_ptr<Event>> events;
     std::uint64_t fired = 0;
     for (int i = 0; i < fanout; ++i) {
-        events.push_back(std::make_unique<Event>(
-            "e" + std::to_string(i), [&fired] { ++fired; }));
+        events.push_back(std::make_unique<Event>(std::to_string(i),
+                                                 [&fired] { ++fired; }));
     }
     for (auto _ : state) {
         for (int i = 0; i < fanout; ++i) {
@@ -47,9 +47,10 @@ BENCHMARK(bm_event_queue)->Arg(16)->Arg(256)->Arg(4096);
 
 void bm_event_queue_steady(benchmark::State& state)
 {
-    // The shape of simulated traffic: a constant live set in which every
-    // fired event reschedules itself a small pseudo-random delta ahead.
-    // One iteration dispatches one event.
+    // A constant live set in which every fired event reschedules itself a
+    // uniform pseudo-random 1–32 ticks ahead, so a new entry lands anywhere
+    // in the window. Simulated traffic is skewed instead; bm_event_queue_hop
+    // has its shape. One iteration dispatches one event.
     EventQueue q;
     const int live = static_cast<int>(state.range(0));
     std::vector<std::unique_ptr<Event>> events;
@@ -57,7 +58,7 @@ void bm_event_queue_steady(benchmark::State& state)
     for (int i = 0; i < live; ++i) {
         Event* ev = events
                         .emplace_back(std::make_unique<Event>(
-                            "e" + std::to_string(i), nullptr))
+                            std::to_string(i), nullptr))
                         .get();
         ev->set_callback([&q, &rng, ev] {
             rng ^= rng << 13;
@@ -73,6 +74,41 @@ void bm_event_queue_steady(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(bm_event_queue_steady)->Arg(4)->Arg(16)->Arg(32)->Arg(64);
+
+void bm_event_queue_hop(benchmark::State& state)
+{
+    // The shape of the benchmark workloads' schedules: a few long-lived
+    // events (CPU polls, link deliveries, request arrivals) that reschedule
+    // themselves far ahead and so sit at the window's latest end, plus
+    // hop chains whose short 1–4 tick delays land a few slots from its
+    // earliest end. Args: long-lived events, hop chains. One iteration
+    // dispatches one event.
+    EventQueue q;
+    const int slow = static_cast<int>(state.range(0));
+    const int hops = static_cast<int>(state.range(1));
+    std::vector<std::unique_ptr<Event>> events;
+    std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < slow + hops; ++i) {
+        Event* ev = events
+                        .emplace_back(std::make_unique<Event>(
+                            std::to_string(i), nullptr))
+                        .get();
+        const Tick base = i < slow ? 1000 : 1;
+        const Tick spread = i < slow ? 1023 : 3;
+        ev->set_callback([&q, &rng, ev, base, spread] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            q.schedule_in(*ev, base + (rng & spread));
+        });
+        q.schedule(*ev, base + static_cast<Tick>(i));
+    }
+    for (auto _ : state) {
+        q.step();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_event_queue_hop)->Args({6, 4})->Args({6, 10});
 
 void bm_packet_alloc(benchmark::State& state)
 {

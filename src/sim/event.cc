@@ -20,7 +20,7 @@ std::uint64_t EventQueue::live_event_count() const
 {
     std::uint64_t n = 0;
     for (std::size_t i = 0; i < near_n_; ++i) {
-        n += entry_live(near_[(near_head_ + i) & (kNearCap - 1)]) ? 1 : 0;
+        n += entry_live(near_[i]) ? 1 : 0;
     }
     for (const Entry& e : heap_) {
         n += entry_live(e) ? 1 : 0;
@@ -34,9 +34,8 @@ void EventQueue::restore_begin() noexcept
     // scheduled — but the checkpoint does not cover — end up cleanly
     // unscheduled rather than flagged-scheduled with no entry.
     for (std::size_t i = 0; i < near_n_; ++i) {
-        near_[(near_head_ + i) & (kNearCap - 1)].ev->scheduled_ = false;
+        near_[i].ev->scheduled_ = false;
     }
-    near_head_ = 0;
     near_n_ = 0;
     for (Entry& e : heap_) {
         e.ev->scheduled_ = false;
@@ -65,9 +64,8 @@ void EventQueue::restore_event(Event& ev)
 {
     ensure(ev.scheduled_, "restore_event on an idle event: ", ev.name_);
     check_priority(ev.priority_);
-    heap_push(Entry{
-        make_key(ev.when_, pack_prio_seq(ev.priority_, ev.generation_)),
-        ev.generation_, &ev});
+    heap_push(
+        Entry{ev.when_, pack_prio_seq(ev.priority_, ev.generation_), &ev});
     ++restored_count_;
 }
 
@@ -95,7 +93,7 @@ EventQueue::DrainOutcome EventQueue::drain(Tick max_tick,
         if (!refresh_top()) {
             return DrainOutcome::drained;
         }
-        if (near_at(0).when() > max_tick) {
+        if (top().tick > max_tick) {
             return DrainOutcome::horizon;
         }
         exec_top();

@@ -6,21 +6,39 @@
 // ties on (tick, priority) break by schedule order (monotonic sequence).
 //
 // Hot-path structure:
-//   * the common path is a sorted ring of the earliest live entries
-//     (`near_`, kNearCap = 32): peeks validate its head instead of
-//     re-pruning, and a schedule inserts by a short shift. The window is
-//     sized to the measured live set: at most 16 entries pending at once on
-//     the host-placement, ViT and serving benchmark workloads and 21 on the
+//   * the common path is a window of the earliest live entries (`near_`,
+//     kNearCap = 32), a plain array sorted latest-first: `near_[near_n_-1]`
+//     is the next event, so a dispatch pops from the end and a peek
+//     validates that slot instead of re-pruning. The window is sized to the
+//     measured live set: at most 16 entries pending at once on the
+//     host-placement, ViT and serving benchmark workloads and 21 on the
 //     4-endpoint HBM2 devmem GEMM, so those runs make no heap push at all;
+//   * a schedule walks down from the earliest end and shifts up only the
+//     entries that run before the new one. The window's latest slots hold
+//     long-lived events scheduled far ahead (CPU polls, link deliveries,
+//     RC/switch processing, request arrivals) while new hop events land a
+//     few slots from the earliest end. Measured entry moves per schedule,
+//     seed-1 legs of gemm_host_4ep / vit_base_host / serving_overload /
+//     gemm_devmem_4ep_t4 / vit_base_devmem: 1.03 / 1.74 / 1.70 / 5.92 /
+//     0.99, against 4.50 / 5.15 / 4.52 / 8.08 / 1.60 for the same window
+//     kept earliest-first and shifted from its latest end. Two rare paths
+//     move the whole window, and those counts include them: a new entry
+//     later than every window entry, and a full window spilling its latest
+//     entry to the heap;
+//   * an entry is 24 bytes, {tick, priority|sequence, event}, ordered as
+//     one 128-bit (tick, priority, sequence) key. The key's low 48 bits are
+//     the schedule sequence, which is also the event's generation stamp, so
+//     liveness compares those bits with `Event::generation_`;
 //   * the heap is the overflow path for larger live sets (bigger fleets,
 //     checkpoint restore): a hand-rolled 4-ary min-heap, shallower than a
 //     binary heap and sifted with hole insertion, so a push or pop moves
 //     entries instead of swapping them.
 // There is one dispatch path: every event, whatever its tick, is pulled
-// from the ring head and executed by exec_top(); run(), drain(), step()
-// and step_bounded() differ only in when they stop.
+// from the window's earliest end and executed by exec_top(); run(),
+// drain(), step() and step_bounded() differ only in when they stop.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -186,13 +204,13 @@ class EventQueue {
     /// Tick of the next live event, or kMaxTick when empty.
     [[nodiscard]] Tick next_event_tick()
     {
-        return refresh_top() ? near_[near_head_].when() : kMaxTick;
+        return refresh_top() ? top().tick : kMaxTick;
     }
 
     /// Name of the next live event (debugging aid); empty when drained.
     [[nodiscard]] std::string next_event_name()
     {
-        return refresh_top() ? near_[near_head_].ev->name() : std::string{};
+        return refresh_top() ? top().ev->name() : std::string{};
     }
 
     /// Execute the single next event; returns false when none remain.
@@ -213,7 +231,7 @@ class EventQueue {
         if (!refresh_top()) {
             return StepOutcome::drained;
         }
-        if (near_[near_head_].when() > max_tick) {
+        if (top().tick > max_tick) {
             return StepOutcome::horizon;
         }
         exec_top();
@@ -244,14 +262,14 @@ class EventQueue {
         return stat_scheduled_;
     }
 
-    /// Entries that actually reached the 4-ary heap (pushes, incl. ring
+    /// Entries that actually reached the 4-ary heap (pushes, incl. window
     /// spills).
     [[nodiscard]] std::uint64_t heap_pushes() const noexcept
     {
         return stat_heap_pushes_;
     }
 
-    /// Schedules absorbed by the sorted near ring without a heap push.
+    /// Schedules absorbed by the near window without a heap push.
     [[nodiscard]] std::uint64_t near_ring_hits() const noexcept
     {
         return stat_near_hits_;
@@ -314,17 +332,13 @@ class EventQueue {
   private:
 #if defined(__SIZEOF_INT128__)
     /// Full sort key in one integer: tick in the high 64 bits, biased
-    /// priority and schedule sequence in the low 64. Heap ordering is a
-    /// single wide compare (two instructions on 64-bit targets).
+    /// priority and schedule sequence in the low 64. Ordering is a single
+    /// wide compare (two instructions on 64-bit targets).
     using SortKey = unsigned __int128;
     [[nodiscard]] static constexpr SortKey make_key(
         Tick when, std::uint64_t prio_seq) noexcept
     {
         return (static_cast<SortKey>(when) << 64) | prio_seq;
-    }
-    [[nodiscard]] static constexpr Tick key_tick(SortKey key) noexcept
-    {
-        return static_cast<Tick>(key >> 64);
     }
 #else
     /// Portable fallback: lexicographic (tick, prio_seq) in a struct.
@@ -341,23 +355,19 @@ class EventQueue {
     {
         return SortKey{when, prio_seq};
     }
-    [[nodiscard]] static constexpr Tick key_tick(SortKey key) noexcept
-    {
-        return key.when;
-    }
 #endif
 
-    /// 32-byte heap entry ordered by the packed (tick, priority, sequence)
-    /// key, so ordering is one wide integer compare.
+    /// 24-byte entry ordered by the (tick, priority, sequence) key that its
+    /// first two fields form, so ordering is one wide integer compare.
     struct Entry {
-        SortKey key;
-        std::uint64_t generation;
+        Tick tick;
+        std::uint64_t prio_seq; ///< see pack_prio_seq
         Event* ev;
-
-        [[nodiscard]] Tick when() const noexcept { return key_tick(key); }
     };
+    static_assert(sizeof(Entry) == 24);
 
     static constexpr int kPrioBias = 1 << 15;
+    static constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << 48) - 1;
 
     [[nodiscard]] static std::uint64_t pack_prio_seq(int priority,
                                                      std::uint64_t seq)
@@ -367,7 +377,7 @@ class EventQueue {
         // priority range is validated once at schedule time via
         // check_priority(); the hot path just packs.
         return (static_cast<std::uint64_t>(priority + kPrioBias) << 48) |
-               (seq & ((std::uint64_t{1} << 48) - 1));
+               (seq & kSeqMask);
     }
 
     static void check_priority(int priority)
@@ -379,12 +389,15 @@ class EventQueue {
     /// True when `a` runs strictly later than `b`.
     [[nodiscard]] static bool later(const Entry& a, const Entry& b) noexcept
     {
-        return a.key > b.key;
+        return make_key(a.tick, a.prio_seq) > make_key(b.tick, b.prio_seq);
     }
 
+    /// The entry's sequence (low 48 key bits) is the generation its event
+    /// was stamped with when the entry was made; a later schedule restamps.
     [[nodiscard]] static bool entry_live(const Entry& e) noexcept
     {
-        return e.ev->scheduled_ && e.ev->generation_ == e.generation;
+        return e.ev->scheduled_ &&
+               ((e.ev->generation_ ^ e.prio_seq) & kSeqMask) == 0;
     }
 
     /// Validate, stamp the event with the next (sequence, generation)
@@ -402,31 +415,25 @@ class EventQueue {
         ev.generation_ = seq;
         ev.scheduled_ = true;
         ++stat_scheduled_;
-        schedule_entry(
-            Entry{make_key(when, pack_prio_seq(ev.priority_, seq)), seq, &ev});
+        schedule_entry(Entry{when, pack_prio_seq(ev.priority_, seq), &ev});
     }
 
-    /// Near-ring / heap placement. Invariant: every near-ring entry precedes (by key) every
-    /// heap entry; the ring itself is sorted ascending. Stale entries may
-    /// sit anywhere — their keys still order correctly and refresh_top
-    /// skips them.
+    /// Window / heap placement. Invariant: every window entry precedes (by
+    /// key) every heap entry; the window is sorted latest-first, so
+    /// `near_[0]` is its latest entry and `near_[near_n_ - 1]` its
+    /// earliest. Stale entries may sit anywhere — their keys still order
+    /// correctly and refresh_top skips them.
     void schedule_entry(const Entry& e)
     {
-        if (near_n_ == 0) {
-            if (heap_.empty() || later(heap_[0], e)) {
-                near_at(0) = e;
-                near_n_ = 1;
-                ++stat_near_hits_;
-            } else {
-                heap_push(e);
-            }
-            return;
-        }
-        if (later(e, near_at(near_n_ - 1))) {
-            // Sorts after the ring: append when it still precedes the
-            // heap minimum and there is room, else straight to the heap.
+        if (near_n_ == 0 || later(e, near_[0])) {
+            // Sorts after the window: it becomes the window's new latest
+            // entry (the whole window shifts up a slot) when it still
+            // precedes the heap minimum and there is room, else it goes
+            // straight to the heap.
             if (near_n_ < kNearCap && (heap_.empty() || later(heap_[0], e))) {
-                near_at(near_n_) = e;
+                std::copy_backward(near_, near_ + near_n_,
+                                   near_ + near_n_ + 1);
+                near_[0] = e;
                 ++near_n_;
                 ++stat_near_hits_;
             } else {
@@ -434,25 +441,28 @@ class EventQueue {
             }
             return;
         }
-        // Belongs inside the ring: spill the ring's latest entry to the
-        // heap if full (it already precedes every heap entry), then shift.
+        // Belongs inside the window: if full, spill the latest entry to the
+        // heap (it already precedes every heap entry) and close the gap.
         if (near_n_ == kNearCap) {
-            heap_push(near_at(kNearCap - 1));
+            heap_push(near_[0]);
+            std::copy(near_ + 1, near_ + kNearCap, near_);
             --near_n_;
         }
+        // Walk down from the earliest end, shifting up the entries that
+        // run before `e`.
         std::size_t pos = near_n_;
-        while (pos > 0 && later(near_at(pos - 1), e)) {
-            near_at(pos) = near_at(pos - 1);
+        while (pos > 0 && later(e, near_[pos - 1])) {
+            near_[pos] = near_[pos - 1];
             --pos;
         }
-        near_at(pos) = e;
+        near_[pos] = e;
         ++near_n_;
         ++stat_near_hits_;
     }
 
     // --- hand-rolled 4-ary min-heap -----------------------------------------
     // Shallower than a binary heap (log4 vs log2 levels) and sifted with
-    // hole insertion: each level moves one 32-byte entry instead of
+    // hole insertion: each level moves one 24-byte entry instead of
     // swapping two. Pop order is the sorted order of the (when, prio_seq)
     // keys — unique by construction — so the internal layout cannot affect
     // simulation results.
@@ -505,44 +515,39 @@ class EventQueue {
         return min;
     }
 
-    /// Make the near-ring head the earliest live entry; false when
-    /// drained. Amortised O(1): each entry is popped at most once.
+    /// Make the window's earliest entry live; false when drained.
+    /// Amortised O(1): each entry is popped at most once.
     bool refresh_top()
     {
         for (;;) {
             while (near_n_ > 0) {
-                if (entry_live(near_at(0))) {
+                if (entry_live(near_[near_n_ - 1])) {
                     return true;
                 }
-                near_pop_front();
+                --near_n_;
             }
             if (heap_.empty()) {
                 return false;
             }
-            near_at(0) = heap_pop();
+            near_[0] = heap_pop();
             near_n_ = 1;
         }
     }
 
-    [[nodiscard]] Entry& near_at(std::size_t i) noexcept
+    /// The window's earliest entry (precondition: refresh_top() returned
+    /// true).
+    [[nodiscard]] const Entry& top() const noexcept
     {
-        return near_[(near_head_ + i) & (kNearCap - 1)];
+        return near_[near_n_ - 1];
     }
 
-    void near_pop_front() noexcept
-    {
-        near_head_ = (near_head_ + 1) & (kNearCap - 1);
-        --near_n_;
-    }
-
-    /// Consume and dispatch the ring head (precondition: refresh_top()
-    /// returned true).
+    /// Consume and dispatch the window's earliest entry (precondition:
+    /// refresh_top() returned true).
     void exec_top()
     {
-        const Entry e = near_at(0);
-        near_pop_front();
-        ensure(e.when() >= now_, "event heap corrupted");
-        now_ = e.when();
+        const Entry e = near_[--near_n_];
+        ensure(e.tick >= now_, "event heap corrupted");
+        now_ = e.tick;
         Event& ev = *e.ev;
         ev.scheduled_ = false;
         ++stat_processed_;
@@ -554,12 +559,12 @@ class EventQueue {
     }
 
     std::vector<Entry> heap_; ///< 4-ary min-heap (see heap_push/heap_pop)
-    /// Sorted ring of the earliest entries (see schedule_entry invariant).
-    /// Sized to hold the benchmark workloads' live sets (file header); a
-    /// 16-entry window fills and spills on the 4-endpoint devmem GEMM.
+    /// The earliest entries, sorted latest-first (see schedule_entry
+    /// invariant). Sized to hold the benchmark workloads' live sets (file
+    /// header); a 16-entry window fills and spills on the 4-endpoint
+    /// devmem GEMM.
     static constexpr std::size_t kNearCap = 32;
     Entry near_[kNearCap];
-    std::size_t near_head_ = 0;
     std::size_t near_n_ = 0;
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0; ///< schedule counter: sort tie-break + generation stamp

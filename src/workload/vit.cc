@@ -73,7 +73,9 @@ std::vector<VitOp> lower_vit(const VitConfig& cfg)
     const std::uint64_t sh = s * h;
 
     for (unsigned layer = 0; layer < cfg.layers; ++layer) {
-        const std::string p = "L" + std::to_string(layer) + ".";
+        std::string p = "L";
+        p += std::to_string(layer);
+        p += '.';
 
         // LayerNorm 1: int8 in/out, ~8 ops/element in fp32 internally.
         ops.push_back(vec(p + "ln1", sh, sh, 8 * sh));

@@ -1,6 +1,7 @@
 // Unit and property tests for the discrete-event core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -240,7 +241,7 @@ TEST_P(EventQueueRandomized, MatchesReferenceModel)
     int mid_tick_stops = 0;
     for (int i = 0; i < kEvents; ++i) {
         events.push_back(std::make_unique<Event>(
-            "e" + std::to_string(i),
+            std::to_string(i),
             [&, i] {
                 ASSERT_FALSE(model.empty());
                 expected.push_back(
@@ -283,9 +284,9 @@ TEST_P(EventQueueRandomized, MatchesReferenceModel)
     EXPECT_TRUE(model.empty());
     EXPECT_TRUE(q.empty());
     // Up to kEvents live entries overflow the near window, so both overflow
-    // paths ran: entries pushed to the heap, and ring entries spilled to it
-    // by an earlier arrival into a full ring. A spill is the one schedule
-    // counted both as a ring hit and as a heap push.
+    // paths ran: entries pushed to the heap, and window entries spilled to
+    // it by an earlier arrival into a full window. A spill is the one
+    // schedule counted both as a window hit and as a heap push.
     EXPECT_GT(q.heap_pushes(), 0u);
     EXPECT_GT(q.heap_pushes() + q.near_ring_hits(), q.events_scheduled());
 }
@@ -318,7 +319,7 @@ TEST(EventQueue, RestoreWithOverflowedWindowMatchesStraightRun)
         {
             for (int i = 0; i < kLive; ++i) {
                 events.push_back(std::make_unique<Event>(
-                    "e" + std::to_string(i),
+                    std::to_string(i),
                     [this, i] {
                         log.push_back({q.now(), i});
                         const std::uint64_t h =
@@ -418,6 +419,82 @@ TEST(EventQueue, CachedTopSurvivesInterleavedScheduling)
     q.schedule(mid, 20);
     q.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// A schedule later than every entry of a partly full window becomes its
+// new latest entry: the whole window shifts up a slot, and later inserts
+// into the middle must still see every entry in order.
+TEST(EventQueue, ScheduleLaterThanWholeWindowKeepsOrder)
+{
+    EventQueue q;
+    std::vector<Tick> fired;
+    std::vector<std::unique_ptr<Event>> events;
+    const auto add = [&](Tick when) {
+        events.push_back(std::make_unique<Event>(
+            std::to_string(when), [&] { fired.push_back(q.now()); }));
+        q.schedule(*events.back(), when);
+    };
+    for (const Tick when : {10, 30, 50, 70}) { // each later than the window
+        add(when);
+    }
+    for (const Tick when : {60, 20, 40, 5, 80}) {
+        add(when);
+    }
+    EXPECT_EQ(q.next_event_tick(), 5u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{5, 10, 20, 30, 40, 50, 60, 70, 80}));
+    EXPECT_EQ(q.heap_pushes(), 0u);
+    EXPECT_EQ(q.near_ring_hits(), q.events_scheduled());
+}
+
+// Filling the window in tick order and then inserting into its middle
+// spills the window's latest entry to the heap; the dispatch order must
+// still be the sorted order of every key.
+TEST(EventQueue, FullWindowSpillThenMiddleInsertMatchesSortedOrder)
+{
+    EventQueue q;
+    std::vector<Tick> fired;
+    std::vector<Tick> reference;
+    std::vector<std::unique_ptr<Event>> events;
+    const auto add = [&](Tick when) {
+        events.push_back(std::make_unique<Event>(
+            std::to_string(when), [&] { fired.push_back(q.now()); }));
+        q.schedule(*events.back(), when);
+        reference.push_back(when);
+    };
+    for (Tick when = 100; when <= 4000; when += 100) { // overfills the window
+        add(when);
+    }
+    const std::uint64_t pushes_before = q.heap_pushes();
+    EXPECT_GT(pushes_before, 0u);
+    add(1650); // window full: spills its latest entry, lands in the middle
+    EXPECT_EQ(q.heap_pushes(), pushes_before + 1);
+    for (const Tick when : {1550, 50, 3150, 2450, 120}) {
+        add(when);
+    }
+    q.run();
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(fired, reference);
+    EXPECT_GT(q.heap_pushes() + q.near_ring_hits(), q.events_scheduled());
+}
+
+// An entry is live only while its sequence matches the event's generation.
+// A deschedule then reschedule to the same tick and priority leaves a stale
+// entry with the same (tick, priority) ahead of a peer; it must not fire.
+TEST(EventQueue, RescheduleToSameKeyDoesNotFireStaleEntry)
+{
+    EventQueue q;
+    std::vector<int> order;
+    Event a("a", [&] { order.push_back(1); });
+    Event b("b", [&] { order.push_back(2); });
+    q.schedule(a, 10);
+    q.schedule(b, 10);
+    q.deschedule(a);
+    q.schedule(a, 10); // same tick and priority, now after b
+    EXPECT_EQ(q.live_event_count(), 2u);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    EXPECT_EQ(q.events_processed(), 2u);
 }
 
 TEST(RingBuffer, FifoReuseAndGrowth)

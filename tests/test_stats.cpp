@@ -38,7 +38,7 @@ TEST_F(Fixture, DuplicateNameThrows)
 
 TEST_F(Fixture, UnknownLookupThrows)
 {
-    EXPECT_THROW(reg.value("nope"), SimError);
+    EXPECT_THROW((void)reg.value("nope"), SimError);
     EXPECT_EQ(reg.find("nope"), nullptr);
 }
 

@@ -87,7 +87,7 @@ std::uint64_t pool_allocs()
 //     retry/backpressure pattern) drained through step() — heap-heavy;
 //   * steady: a small set of self-rescheduling events drained through
 //     run() — the link/egress ping-pong pattern real sim traffic is made
-//     of, which exercises the near ring's schedule→fire path.
+//     of, which exercises the near window's schedule→fire path.
 void bm_event_queue()
 {
     constexpr int kFanout = 256;
@@ -99,8 +99,8 @@ void bm_event_queue()
         std::vector<std::unique_ptr<Event>> events;
         events.reserve(kFanout);
         for (int i = 0; i < kFanout; ++i) {
-            events.push_back(std::make_unique<Event>(
-                "e" + std::to_string(i), [&fired] { ++fired; }));
+            events.push_back(std::make_unique<Event>(std::to_string(i),
+                                                     [&fired] { ++fired; }));
         }
         const auto t0 = Clock::now();
         while (fired < kTarget) {
