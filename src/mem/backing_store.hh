@@ -227,8 +227,8 @@ class BackingStore {
         }
         auto& slot = chunks_[key];
         if (!slot) {
+            // make_unique value-initialises the array: the chunk is zeroed.
             slot = std::make_unique<std::uint8_t[]>(kChunkBytes);
-            std::memset(slot.get(), 0, kChunkBytes);
         }
         m = MemoSlot{key, slot.get()};
         return m.chunk;

@@ -44,62 +44,164 @@ std::uint32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
 #define ACCESYS_VNNI_TARGET \
     __attribute__((target("avx512f,avx512bw,avx512vnni")))
 
-/// Sums of four 16-lane vectors, one per output lane: {x0, x1, x2, x3}.
+// Where an intrinsic has a maskz form, the code below calls that form with
+// an all-ones mask, which compiles to the plain instruction: the plain
+// intrinsics trip GCC 12's -Wmaybe-uninitialized on their undefined
+// pass-through operand.
+
+/// Sixteen int32 lanes. The accumulators use this type rather than __m512i:
+/// GCC 12 does not coalesce the __m512i <-> vector-of-int casts inside
+/// _mm512_dpbusd_epi32 and copies every __m512i accumulator twice per step.
+using I32x16 = std::int32_t __attribute__((vector_size(64)));
+
+/// k bytes per packed B_T panel: 16 columns x 1024 bytes is 16 KiB of
+/// stack, and every k the workloads run fits in one block.
+constexpr std::uint32_t kBlockK = 1024;
+/// Rows whose A offsets sit on the stack while the panels of one k block
+/// are packed, so each panel serves this many rows before it is repacked.
+constexpr std::uint32_t kChunkRows = 1024;
+/// Rows of C held in zmm accumulators at once (one zmm per 16-column row
+/// segment); 16 independent vpdpbusd chains cover its latency.
+constexpr std::uint32_t kBlockRows = 16;
+
+/// The `n` bytes at `p`, zero-extended to 64 when n < 64; reads no byte
+/// past them.
 ACCESYS_VNNI_TARGET
-inline __m128i reduce4(__m512i x0, __m512i x1, __m512i x2, __m512i x3)
+inline __m512i load_bytes(const std::int8_t* p, std::uint32_t n)
 {
-    // Per 128-bit lane: {x0, x1, x0, x1} and {x2, x3, x2, x3} partials,
-    // then {x0, x1, x2, x3}; finally fold the four 128-bit lanes. The
-    // all-ones maskz forms compile to the plain instructions; the plain
-    // intrinsics trip GCC 12's -Wmaybe-uninitialized on their undefined
-    // pass-through operand.
+    return n >= 64 ? _mm512_loadu_si512(p)
+                   : _mm512_maskz_loadu_epi8((__mmask64{1} << n) - 1, p);
+}
+
+/// 128 * sum of the `len` int8 values at `p`, modulo 2^32.
+ACCESYS_VNNI_TARGET
+inline std::int32_t row_offset(const std::int8_t* p, std::uint32_t len,
+                               __m512i bias)
+{
+    __m512i s = _mm512_setzero_si512();
+    for (std::uint32_t kk = 0; kk < len; kk += 64) {
+        s = _mm512_dpbusd_epi32(s, bias, load_bytes(p + kk, len - kk));
+    }
+    // Fold the 16 lanes to one.
+    const __m256i h =
+        _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xf, s, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xf, s, 1));
+    __m128i q = _mm_add_epi32(_mm256_castsi256_si128(h),
+                              _mm256_extracti128_si256(h, 1));
+    q = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0x4e));
+    q = _mm_add_epi32(q, _mm_shuffle_epi32(q, 0xb1));
+    return _mm_cvtsi128_si32(q);
+}
+
+/// In-register 16x16 transpose of 32-bit elements: on return v[x] holds
+/// element x of the old v[0] .. v[15].
+ACCESYS_VNNI_TARGET
+inline void transpose16(__m512i (&v)[16])
+{
     constexpr __mmask16 all16 = 0xffff;
     constexpr __mmask8 all8 = 0xff;
-    const __m512i t01 =
-        _mm512_add_epi32(_mm512_maskz_unpacklo_epi32(all16, x0, x1),
-                         _mm512_maskz_unpackhi_epi32(all16, x0, x1));
-    const __m512i t23 =
-        _mm512_add_epi32(_mm512_maskz_unpacklo_epi32(all16, x2, x3),
-                         _mm512_maskz_unpackhi_epi32(all16, x2, x3));
-    const __m512i t =
-        _mm512_add_epi32(_mm512_maskz_unpacklo_epi64(all8, t01, t23),
-                         _mm512_maskz_unpackhi_epi64(all8, t01, t23));
-    const __m256i u =
-        _mm256_add_epi32(_mm512_maskz_extracti64x4_epi64(0xf, t, 0),
-                         _mm512_maskz_extracti64x4_epi64(0xf, t, 1));
-    return _mm_add_epi32(_mm256_castsi256_si128(u),
-                         _mm256_extracti128_si256(u, 1));
-}
-
-/// Rows first .. first + 3 of a `count`-row matrix with k-byte rows; rows
-/// past the end repeat the last row.
-inline void four_rows(const std::int8_t* base, std::uint32_t first,
-                      std::uint32_t count, std::uint32_t k,
-                      const std::int8_t* (&rows)[4])
-{
-    for (std::uint32_t r = 0; r < 4; ++r) {
-        rows[r] = base + static_cast<std::size_t>(
-                             std::min(first + r, count - 1)) * k;
+    __m512i t[16];
+    // Per 128-bit lane L: t[2p] = {v2p[4L], v2p+1[4L], v2p[4L+1], ...},
+    // t[2p+1] the same for elements 4L+2, 4L+3.
+    for (std::uint32_t p = 0; p < 8; ++p) {
+        t[2 * p] = _mm512_maskz_unpacklo_epi32(all16, v[2 * p], v[2 * p + 1]);
+        t[2 * p + 1] =
+            _mm512_maskz_unpackhi_epi32(all16, v[2 * p], v[2 * p + 1]);
     }
-}
-
-/// One 64-wide k step of a 4x4 tile: acc[r][q] += (A row r + 128) . B_T
-/// row q over the bytes selected by `mask` (unselected bytes load as 0).
-ACCESYS_VNNI_TARGET
-inline void tile_step(__m512i (&acc)[4][4], const std::int8_t* const (&ar)[4],
-                      const std::int8_t* const (&b)[4], std::uint32_t kk,
-                      __mmask64 mask, __m512i bias)
-{
-    __m512i bv[4];
+    // u[4q + e] lane L = element 4L + e of rows 4q .. 4q + 3.
+    __m512i u[16];
     for (std::uint32_t q = 0; q < 4; ++q) {
-        bv[q] = _mm512_maskz_loadu_epi8(mask, b[q] + kk);
-    }
-    for (std::uint32_t r = 0; r < 4; ++r) {
-        const __m512i av =
-            _mm512_xor_si512(_mm512_maskz_loadu_epi8(mask, ar[r] + kk), bias);
-        for (std::uint32_t q = 0; q < 4; ++q) {
-            acc[r][q] = _mm512_dpbusd_epi32(acc[r][q], av, bv[q]);
+        for (std::uint32_t h = 0; h < 2; ++h) {
+            const __m512i lo = t[4 * q + h];
+            const __m512i hi = t[4 * q + 2 + h];
+            u[4 * q + 2 * h] = _mm512_maskz_unpacklo_epi64(all8, lo, hi);
+            u[4 * q + 2 * h + 1] = _mm512_maskz_unpackhi_epi64(all8, lo, hi);
         }
+    }
+    // 4x4 transpose of 128-bit lanes across u[e], u[4 + e], u[8 + e],
+    // u[12 + e]: lane q of the result for element 4L + e is lane L of
+    // u[4q + e].
+    for (std::uint32_t e = 0; e < 4; ++e) {
+        const __m512i w0 =
+            _mm512_maskz_shuffle_i32x4(all16, u[e], u[4 + e], 0x44);
+        const __m512i w1 =
+            _mm512_maskz_shuffle_i32x4(all16, u[e], u[4 + e], 0xee);
+        const __m512i w2 =
+            _mm512_maskz_shuffle_i32x4(all16, u[8 + e], u[12 + e], 0x44);
+        const __m512i w3 =
+            _mm512_maskz_shuffle_i32x4(all16, u[8 + e], u[12 + e], 0xee);
+        v[e] = _mm512_maskz_shuffle_i32x4(all16, w0, w2, 0x88);
+        v[4 + e] = _mm512_maskz_shuffle_i32x4(all16, w0, w2, 0xdd);
+        v[8 + e] = _mm512_maskz_shuffle_i32x4(all16, w1, w3, 0x88);
+        v[12 + e] = _mm512_maskz_shuffle_i32x4(all16, w1, w3, 0xdd);
+    }
+}
+
+/// Packs bytes [0, len) of `cols` (<= 16) B_T rows, `ldb` bytes apart,
+/// into `panel`: lane c of panel[g] holds bytes 4g .. 4g + 3 of row c plus
+/// 128, the unsigned operand of vpdpbusd. Lanes past `cols` repeat the last
+/// row and bytes past `len` hold 128; row_block masks the former out of C
+/// and meets the latter only with zero A bytes.
+ACCESYS_VNNI_TARGET
+inline void pack_panel(const std::int8_t* b, std::size_t ldb,
+                       std::uint32_t cols, std::uint32_t len, __m512i bias,
+                       __m512i* panel)
+{
+    for (std::uint32_t kk = 0; kk < len; kk += 64) {
+        __m512i v[16];
+        for (std::uint32_t col = 0; col < 16; ++col) {
+            const std::int8_t* row = b + std::min(col, cols - 1) * ldb + kk;
+            v[col] = _mm512_xor_si512(load_bytes(row, len - kk), bias);
+        }
+        transpose16(v);
+        for (std::uint32_t g = 0; g < 16; ++g) {
+            _mm512_store_si512(panel + kk / 4 + g, v[g]);
+        }
+    }
+}
+
+/// C rows 0 .. R-1 (the lanes in `col_mask`) = A rows 0 .. R-1 (`lda` bytes
+/// apart) times the packed panel over k bytes [0, len), minus the rows'
+/// offsets, plus C's old values when `accumulate` is set. Each step
+/// broadcasts 4 bytes of every A row against one panel vector, so the R
+/// accumulators stay in zmm registers for the whole k block.
+template <std::uint32_t R>
+ACCESYS_VNNI_TARGET inline void
+row_block(const std::int8_t* a, std::size_t lda, const std::int32_t* off,
+          const __m512i* panel, std::uint32_t len, std::int32_t* c,
+          std::size_t ldc, __mmask16 col_mask, bool accumulate)
+{
+    I32x16 acc[R];
+    for (std::uint32_t r = 0; r < R; ++r) {
+        const __m512i old =
+            accumulate ? _mm512_maskz_loadu_epi32(col_mask, c + r * ldc)
+                       : _mm512_setzero_si512();
+        acc[r] = I32x16(_mm512_sub_epi32(old, _mm512_set1_epi32(off[r])));
+    }
+    const std::uint32_t groups = len / 4;
+    for (std::uint32_t g = 0; g < groups; ++g) {
+        const __m512i b = _mm512_load_si512(panel + g);
+#pragma GCC unroll 16
+        for (std::uint32_t r = 0; r < R; ++r) {
+            std::int32_t a4 = 0;
+            std::memcpy(&a4, a + r * lda + 4 * g, sizeof(a4));
+            acc[r] = I32x16(_mm512_dpbusd_epi32(__m512i(acc[r]), b,
+                                                _mm512_set1_epi32(a4)));
+        }
+    }
+    if (len % 4 != 0) {
+        // The last 1-3 bytes of each row; reading a full 4 could run past
+        // the end of A.
+        const __m512i b = _mm512_load_si512(panel + groups);
+        for (std::uint32_t r = 0; r < R; ++r) {
+            std::int32_t a4 = 0;
+            std::memcpy(&a4, a + r * lda + 4 * groups, len % 4);
+            acc[r] = I32x16(_mm512_dpbusd_epi32(__m512i(acc[r]), b,
+                                                _mm512_set1_epi32(a4)));
+        }
+    }
+    for (std::uint32_t r = 0; r < R; ++r) {
+        _mm512_mask_storeu_epi32(c + r * ldc, col_mask, __m512i(acc[r]));
     }
 }
 #endif
@@ -131,82 +233,51 @@ bool cpu_has_vnni()
            __builtin_cpu_supports("avx512bw");
 }
 
-/// `vpdpbusd` multiplies unsigned by signed bytes, so A is biased to
-/// a + 128 (a ^ 0x80) and 128 * sum_k B_T[j][k] is subtracted per column:
-/// (a + 128) * b - 128 * b = a * b, exact modulo 2^32. Each step covers 64
-/// k values of a 4x4 output tile in 16 accumulators; the k tail uses
-/// zero-masked loads (biased A lanes meet zero B lanes), and m/n edges
-/// clamp the row pointers to the last row and drop the duplicate outputs.
-/// Within each 1024-column block, tiles walk 16-row panels of A, column
-/// group by column group, so the A panel and the current 4 B_T rows stay in
-/// L1 while the block's B_T rows stream from L2.
+/// `vpdpbusd` multiplies unsigned by signed bytes, so B_T is packed biased
+/// to b + 128 and 128 * sum_k A[i][k] is subtracted per row:
+/// a * (b + 128) - 128 * a = a * b, exact modulo 2^32. k goes in blocks of
+/// kBlockK; per block, each 16-column block of B_T is packed once into a
+/// stack panel that then meets every A row of the chunk, 16 rows at a time
+/// (one row at a time for the last m % 16). Later k blocks add into C.
 ACCESYS_VNNI_TARGET
 void gemm_i8_nt_vnni(const std::int8_t* a, const std::int8_t* bt,
                      std::int32_t* c, std::uint32_t m, std::uint32_t n,
                      std::uint32_t k, std::size_t ldc)
 {
-    constexpr std::uint32_t panel_rows = 16;
     const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
-    const std::uint32_t k_body = k & ~63U;
-    const __mmask64 tail = (__mmask64{1} << (k & 63U)) - 1;
-
-    // Columns go in blocks of block_cols; the block's 128 * sum_k B_T[j][k]
-    // per column sits on the stack, so a call never touches the heap.
-    constexpr std::uint32_t block_cols = 1024;
-    alignas(16) std::int32_t offset[block_cols] = {};
-    for (std::uint32_t j0 = 0; j0 < n; j0 += block_cols) {
-        const std::uint32_t j_end = std::min(j0 + block_cols, n);
-        for (std::uint32_t j = j0; j < j_end; j += 4) {
-            const std::int8_t* b[4];
-            four_rows(bt, j, n, k, b);
-            __m512i s[4];
-            for (std::uint32_t q = 0; q < 4; ++q) {
-                s[q] = _mm512_setzero_si512();
-                for (std::uint32_t kk = 0; kk < k; kk += 64) {
-                    const __mmask64 mask =
-                        kk < k_body ? ~__mmask64{0} : tail;
-                    s[q] = _mm512_dpbusd_epi32(
-                        s[q], bias,
-                        _mm512_maskz_loadu_epi8(mask, b[q] + kk));
+    // Each entry is written before it is read; zeroing these 20 KiB would
+    // cost about as much as a whole 16^3 call.
+    __m512i panel[kBlockK / 4];
+    std::int32_t off[kChunkRows];
+    // One pass even when k == 0, which writes C = 0.
+    for (std::uint32_t kb = 0;; kb += kBlockK) {
+        const std::uint32_t len = std::min(kBlockK, k - kb);
+        for (std::uint32_t i0 = 0; i0 < m; i0 += kChunkRows) {
+            const std::uint32_t rows = std::min(kChunkRows, m - i0);
+            const std::int8_t* a0 = a + std::size_t{i0} * k + kb;
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                off[r] = row_offset(a0 + std::size_t{r} * k, len, bias);
+            }
+            for (std::uint32_t j0 = 0; j0 < n; j0 += 16) {
+                const std::uint32_t cols = std::min(16U, n - j0);
+                pack_panel(bt + std::size_t{j0} * k + kb, k, cols, len, bias,
+                           panel);
+                const auto mask = static_cast<__mmask16>((1U << cols) - 1);
+                std::int32_t* c0 = c + i0 * ldc + j0;
+                std::uint32_t r = 0;
+                for (; r + kBlockRows <= rows; r += kBlockRows) {
+                    row_block<kBlockRows>(a0 + std::size_t{r} * k, k,
+                                          off + r, panel, len, c0 + r * ldc,
+                                          ldc, mask, kb > 0);
+                }
+                for (; r < rows; ++r) {
+                    row_block<1>(a0 + std::size_t{r} * k, k, off + r, panel,
+                                 len, c0 + r * ldc, ldc, mask, kb > 0);
                 }
             }
-            _mm_store_si128(reinterpret_cast<__m128i*>(&offset[j - j0]),
-                            reduce4(s[0], s[1], s[2], s[3]));
         }
-
-        for (std::uint32_t i0 = 0; i0 < m; i0 += panel_rows) {
-            const std::uint32_t i_end = std::min(i0 + panel_rows, m);
-            for (std::uint32_t j = j0; j < j_end; j += 4) {
-                const std::int8_t* b[4];
-                four_rows(bt, j, n, k, b);
-                const __m128i off = _mm_load_si128(
-                    reinterpret_cast<const __m128i*>(&offset[j - j0]));
-                const std::uint32_t cols = std::min(4U, n - j);
-                for (std::uint32_t i = i0; i < i_end; i += 4) {
-                    const std::int8_t* ar[4];
-                    four_rows(a, i, m, k, ar);
-                    __m512i acc[4][4];
-                    for (auto& row : acc) {
-                        for (auto& v : row) {
-                            v = _mm512_setzero_si512();
-                        }
-                    }
-                    for (std::uint32_t kk = 0; kk < k; kk += 64) {
-                        tile_step(acc, ar, b, kk,
-                                  kk < k_body ? ~__mmask64{0} : tail, bias);
-                    }
-                    for (std::uint32_t r = 0; r < std::min(4U, m - i); ++r) {
-                        alignas(16) std::int32_t out[4];
-                        _mm_store_si128(
-                            reinterpret_cast<__m128i*>(out),
-                            _mm_sub_epi32(reduce4(acc[r][0], acc[r][1],
-                                                  acc[r][2], acc[r][3]),
-                                          off));
-                        std::memcpy(c + (i + r) * ldc + j, out,
-                                    cols * sizeof(out[0]));
-                    }
-                }
-            }
+        if (k - kb <= kBlockK) {
+            break;
         }
     }
 }

@@ -9,8 +9,9 @@
 // same bits for every k.
 //
 // Two implementations, picked once from the CPU's feature flags:
-//   - AVX-512 VNNI: a 4x4 register tile of `vpdpbusd` (x86-64 hosts with
-//     avx512vnni + avx512bw);
+//   - AVX-512 VNNI: `vpdpbusd` of broadcast A bytes against a packed B_T
+//     panel, 16 rows x 16 columns of C held in registers (x86-64 hosts
+//     with avx512vnni + avx512bw);
 //   - portable: one widen-then-accumulate dot product per output, built as
 //     target_clones on x86-64 and plain C++ everywhere else.
 #pragma once

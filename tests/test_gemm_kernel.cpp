@@ -72,7 +72,9 @@ class GuardedBytes {
             throw std::runtime_error("mprotect failed");
         }
         data_ = base_ + body - src.size();
-        std::memcpy(data_, src.data(), src.size());
+        if (!src.empty()) { // an empty vector's data() may be null
+            std::memcpy(data_, src.data(), src.size());
+        }
     }
     ~GuardedBytes() { munmap(base_, len_); }
     GuardedBytes(const GuardedBytes&) = delete;
@@ -118,17 +120,43 @@ void expect_matches_oracle(Kernel kernel, const Shape& s, Fill fill)
                          << ldc << " fill " << static_cast<int>(fill);
 }
 
-const Shape kShapes[] = {
-    {1, 1, 1, 0},     {3, 5, 7, 0},     {16, 16, 16, 0},  {48, 48, 48, 0},
-    {77, 131, 200, 0}, {5, 6, 63, 0},   {5, 6, 64, 0},    {5, 6, 65, 0},
-    {9, 7, 127, 0},   {9, 7, 128, 0},   {7, 9, 33, 13},   {16, 10, 96, 24},
-    // More columns than one VNNI column block (1024), ragged last block.
-    {18, 1030, 70, 0}, {5, 2049, 9, 2051},
-};
+/// Edge cases of the VNNI kernel's blocking: 16-column panels of 4-byte
+/// k groups, 16-row register blocks, 1024-byte k blocks and 1024-row
+/// chunks. Every shape runs through every path.
+std::vector<Shape> test_shapes()
+{
+    std::vector<Shape> shapes = {
+        {1, 1, 1, 0},     {3, 5, 7, 0},      {16, 16, 16, 0},
+        {48, 48, 48, 0},  {77, 131, 200, 0}, {5, 6, 63, 0},
+        {5, 6, 64, 0},    {5, 6, 65, 0},     {9, 7, 127, 0},
+        {9, 7, 128, 0},   {7, 9, 33, 13},    {16, 10, 96, 24},
+        {18, 1030, 70, 0}, {5, 2049, 9, 2051},
+        // k = 0 writes zeros.
+        {3, 5, 0, 0},
+        // k = 1, 2, 3 (mod 4): a partial last k group in each row.
+        {16, 16, 61, 0},  {16, 16, 62, 0},   {16, 16, 63, 0},
+        // m % 16 != 0: full row blocks plus single leftover rows.
+        {17, 16, 40, 0},  {31, 16, 40, 0},   {33, 32, 8, 0},
+        // k on both sides of one and two k blocks: later blocks add into C.
+        {20, 18, 1023, 0}, {20, 18, 1024, 0}, {20, 18, 1025, 0},
+        {3, 5, 2047, 0},  {3, 5, 2048, 0},   {3, 5, 2049, 0},
+        // More rows than one chunk of row offsets.
+        {1030, 17, 5, 0},
+        // The device strips of the benchmark workloads.
+        {16, 16, 32, 0},  {16, 16, 48, 0},   {16, 16, 512, 0},
+        {16, 16, 768, 0},
+    };
+    // n = 1 .. 15 (mod 16): a partial last column block. The padding of
+    // ldc = n + 16 keeps its sentinels only if the store masks the block.
+    for (std::uint32_t n = 17; n < 32; ++n) {
+        shapes.push_back({9, n, 37, n + 16});
+    }
+    return shapes;
+}
 
 void expect_all_shapes_match(Kernel kernel)
 {
-    for (const Shape& s : kShapes) {
+    for (const Shape& s : test_shapes()) {
         for (const Fill fill : {Fill::random, Fill::all_min, Fill::mixed}) {
             expect_matches_oracle(kernel, s, fill);
         }

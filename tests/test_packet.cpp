@@ -139,6 +139,23 @@ TEST(BackingStore, UntouchedReadsZero)
     EXPECT_EQ(store.chunks_allocated(), 0u);
 }
 
+TEST(BackingStore, NewChunkReadsZeroAroundAWrite)
+{
+    {
+        // Free a chunk full of ones, so the allocator may hand its memory
+        // to the next chunk.
+        BackingStore dirty;
+        const std::vector<std::uint8_t> ones(BackingStore::kChunkBytes, 0xff);
+        dirty.write(0, ones.data(), ones.size());
+    }
+    BackingStore store;
+    store.write_obj<std::uint8_t>(0x10, 1);
+    std::vector<std::uint8_t> got(BackingStore::kChunkBytes, 0xee);
+    store.read(0, got.data(), got.size());
+    got[0x10] = 0;
+    EXPECT_EQ(std::count(got.begin(), got.end(), 0), got.size());
+}
+
 TEST(Packet, RouteOverflowThrows)
 {
     auto p = Packet::make_read(0, 4);
