@@ -19,6 +19,7 @@
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "smmu/tlb.hh"
+#include "workload/gemm.hh"
 
 using namespace accesys;
 
@@ -223,12 +224,8 @@ void bm_gemm_kernel(benchmark::State& state)
     std::vector<std::int8_t> a(std::size_t{m} * k);
     std::vector<std::int8_t> bt(std::size_t{n} * k);
     Rng rng(std::uint64_t{m} * 7 + k);
-    for (auto& v : a) {
-        v = static_cast<std::int8_t>(rng.between(0, 255));
-    }
-    for (auto& v : bt) {
-        v = static_cast<std::int8_t>(rng.between(0, 255));
-    }
+    rng.fill_bytes(a.data(), a.size());
+    rng.fill_bytes(bt.data(), bt.size());
     std::vector<std::int32_t> c(std::size_t{m} * n);
     for (auto _ : state) {
         kernel(a.data(), bt.data(), c.data(), m, n, k, n);
@@ -251,6 +248,33 @@ BENCHMARK(bm_gemm_kernel)
     ->ArgsProduct({{512}, {512}, {512}, {0, 1}})
     ->ArgsProduct({{768}, {768}, {768}, {0, 1}})
     ->ArgsProduct({{16}, {768}, {768}, {0, 1}});
+
+void bm_init_gemm_data(benchmark::State& state)
+{
+    // Operand fill of one m^3 GEMM (A then B_T) at the workloads' shapes:
+    // 16^3, 32^3 and 48^3 per serving request, 512^3 and 768^3 per GEMM
+    // workload job. The store persists across iterations, so this times
+    // the fill itself, not the first-touch chunk allocation.
+    const auto m = static_cast<std::uint32_t>(state.range(0));
+    const workload::GemmSpec spec{m, m, m, 1};
+    mem::BackingStore store;
+    const Addr a = 0x1000;
+    const Addr bt = a + spec.a_bytes();
+    for (auto _ : state) {
+        workload::init_gemm_data(store, spec, a, bt);
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(spec.a_bytes() +
+                                                      spec.b_bytes()));
+}
+BENCHMARK(bm_init_gemm_data)
+    ->ArgName("m")
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(512)
+    ->Arg(768);
 
 void bm_memctrl_traffic(benchmark::State& state)
 {

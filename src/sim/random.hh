@@ -5,6 +5,7 @@
 // excellent statistical quality for simulation (non-cryptographic) use.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace accesys {
@@ -66,6 +67,23 @@ class Rng {
     /// Bernoulli trial with probability `p` of returning true.
     bool chance(double p) { return uniform() < p; }
 
+    /// Fill `n` bytes at `dst` with eight bytes per draw: byte i is byte
+    /// (i mod 8) of draw ⌊i/8⌋, taken by shifts, least-significant first,
+    /// so the stream is the same on every host byte order. A tail of
+    /// fewer than eight bytes takes the low bytes of one more whole draw,
+    /// so the next fill starts at a fresh draw, and fills of multiples of
+    /// eight bytes concatenate into one stream.
+    void fill_bytes(void* dst, std::size_t n)
+    {
+        auto* p = static_cast<std::uint8_t*>(dst);
+        for (; n >= 8; n -= 8, p += 8) {
+            put_bytes(p, next(), 8);
+        }
+        if (n > 0) {
+            put_bytes(p, next(), n);
+        }
+    }
+
     /// Checkpoint/restore the stream position: a restored Rng continues
     /// the exact draw sequence of the saved one.
     void serialize(Ckpt& ar);
@@ -74,6 +92,13 @@ class Rng {
     static std::uint64_t rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    static void put_bytes(std::uint8_t* p, std::uint64_t v, std::size_t n)
+    {
+        for (std::size_t b = 0; b < n; ++b) {
+            p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+        }
     }
 
     std::uint64_t state_[4] = {};

@@ -40,7 +40,12 @@ struct GemmSpec {
     }
 };
 
-/// Fill A and B_T with seeded pseudo-random int8 values.
+/// Fill A and B_T with seeded pseudo-random int8 values, eight bytes per
+/// draw of one `Rng(spec.seed)` (Rng::fill_bytes): byte i of A is byte
+/// (i mod 8), least-significant first, of draw ⌊i/8⌋; B_T starts at the
+/// next whole draw after A's last and follows the same rule. The bytes go
+/// straight into `store`, with no heap allocation once the chunks the
+/// operands cover exist.
 void init_gemm_data(mem::BackingStore& store, const GemmSpec& spec,
                     Addr a_addr, Addr bt_addr);
 

@@ -2,8 +2,9 @@
 // job, response or strip, or a host-placement DMA job and its chunks — must
 // run without touching the heap once its rings and pools have grown to the
 // working set, so the allocation count of a whole GEMM must not grow with
-// the matrix size. This binary replaces the global operator new with a
-// counting one to check that.
+// the matrix size; and filling a GEMM's operands into existing memory
+// must not allocate at all. This binary replaces the global operator new
+// with a counting one to check that.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <new>
 
 #include "core/runner.hh"
+#include "workload/gemm.hh"
 
 namespace {
 std::uint64_t g_allocs = 0; // the simulator is single-threaded
@@ -66,6 +68,21 @@ void expect_flat(core::Placement place)
     ::testing::Test::RecordProperty("allocs_128", static_cast<int>(small));
     ::testing::Test::RecordProperty("allocs_256", static_cast<int>(large));
     EXPECT_LT(large, small + 64) << "128^3: " << small << ", 256^3: " << large;
+}
+
+TEST(GemmInit, NoHeapAllocationIntoExistingChunks)
+{
+    // 100 KB operands: many fill blocks, and A straddles a chunk boundary.
+    // The first fill allocates the chunks; the second must allocate
+    // nothing — no staging buffer, no per-block vector.
+    const workload::GemmSpec spec{320, 320, 320, 7};
+    const Addr a = mem::BackingStore::kChunkBytes - 4096;
+    const Addr bt = 0x100000;
+    mem::BackingStore store;
+    workload::init_gemm_data(store, spec, a, bt);
+    const std::uint64_t before = g_allocs;
+    workload::init_gemm_data(store, spec, a, bt);
+    EXPECT_EQ(g_allocs - before, 0u);
 }
 
 TEST(DevMemAllocations, DoNotGrowWithGemmSize)

@@ -16,6 +16,39 @@ TEST(GemmSpec, ByteAndMacCounts)
     EXPECT_DOUBLE_EQ(s.macs(), 128.0 * 64 * 32);
 }
 
+/// The operand stream init_gemm_data promises, built from Rng::next():
+/// byte i is byte (i mod 8) of the i/8-th draw, least-significant first;
+/// a partial last draw is consumed whole.
+std::vector<std::uint8_t> expected_stream(Rng& rng, std::uint64_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    std::uint64_t draw = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i % 8 == 0) {
+            draw = rng.next();
+        }
+        out[i] = static_cast<std::uint8_t>(draw >> (8 * (i % 8)));
+    }
+    return out;
+}
+
+/// Fill A at `a_addr` and B_T at `bt_addr`, then check both against the
+/// stream: A from draw 0, B_T from the next whole draw after A's last.
+void expect_operand_stream(const GemmSpec& spec, Addr a_addr, Addr bt_addr)
+{
+    mem::BackingStore store;
+    init_gemm_data(store, spec, a_addr, bt_addr);
+    Rng rng(spec.seed);
+    const auto want_a = expected_stream(rng, spec.a_bytes());
+    const auto want_bt = expected_stream(rng, spec.b_bytes());
+    std::vector<std::uint8_t> got_a(spec.a_bytes());
+    std::vector<std::uint8_t> got_bt(spec.b_bytes());
+    store.read(a_addr, got_a.data(), got_a.size());
+    store.read(bt_addr, got_bt.data(), got_bt.size());
+    EXPECT_EQ(got_a, want_a) << "A of " << spec.m << "x" << spec.k;
+    EXPECT_EQ(got_bt, want_bt) << "B_T of " << spec.n << "x" << spec.k;
+}
+
 TEST(GemmData, DeterministicInit)
 {
     mem::BackingStore s1;
@@ -23,11 +56,37 @@ TEST(GemmData, DeterministicInit)
     const GemmSpec spec{8, 8, 8, 42};
     init_gemm_data(s1, spec, 0x100, 0x1000);
     init_gemm_data(s2, spec, 0x100, 0x1000);
-    std::vector<std::uint8_t> b1(spec.a_bytes());
-    std::vector<std::uint8_t> b2(spec.a_bytes());
-    s1.read(0x100, b1.data(), b1.size());
-    s2.read(0x100, b2.data(), b2.size());
+    std::vector<std::uint8_t> b1(spec.a_bytes() + spec.b_bytes());
+    std::vector<std::uint8_t> b2(b1.size());
+    s1.read(0x100, b1.data(), spec.a_bytes());
+    s1.read(0x1000, b1.data() + spec.a_bytes(), spec.b_bytes());
+    s2.read(0x100, b2.data(), spec.a_bytes());
+    s2.read(0x1000, b2.data() + spec.a_bytes(), spec.b_bytes());
     EXPECT_EQ(b1, b2);
+}
+
+TEST(GemmData, OperandStreamWithPartialLastDraw)
+{
+    // |A| = 21 and |B_T| = 35: neither is a multiple of 8, so A's last
+    // draw is used for 5 bytes and B_T must still start at a fresh draw.
+    expect_operand_stream(GemmSpec{3, 5, 7, 42}, 0x100, 0x1000);
+}
+
+TEST(GemmData, OperandStreamAcrossChunkBoundary)
+{
+    // A starts 100 bytes before a 64 KiB chunk boundary; B_T starts at an
+    // odd address just below the next one.
+    constexpr Addr chunk = mem::BackingStore::kChunkBytes;
+    expect_operand_stream(GemmSpec{40, 40, 40, 9}, chunk - 100,
+                          2 * chunk - 7);
+}
+
+TEST(GemmData, OperandStreamLargerThanFillBlock)
+{
+    // 14,400 and 8,000 bytes: several 4 KiB fill blocks each, with a
+    // partial last block and a partial last draw in A.
+    expect_operand_stream(GemmSpec{72, 40, 200, 3}, 0x2000, 0x40000);
+    expect_operand_stream(GemmSpec{61, 67, 131, 5}, 0x3003, 0x50005);
 }
 
 TEST(GemmData, GoldenIdentityProperty)
