@@ -1,10 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrates:
-// event-queue throughput, cache lookups, DRAM timing, TLB, PCIe link
-// serialization, the systolic-array functional strip and the int8 GEMM
-// kernel under it (MACs/s per path and shape). These guard the
-// simulator's own performance, which bounds how large a sweep the figure
-// benches can afford.
+// event-queue throughput, packet/TLP pool churn, xbar forwarding, cache
+// fill/evict churn, DRAM timing, TLB, PCIe link serialization and
+// credit-gated link throughput, the systolic-array functional strip, the
+// int8 GEMM kernel under it (MACs/s per path and shape) and the operand
+// fill. These guard the simulator's own performance, which bounds how
+// large a sweep the figure benches can afford. tools/perf_gate.sh runs
+// the event-queue, packet-alloc, xbar, DRAM-stream, cache-fill and
+// link-credit cases against a base build on the same machine.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
 
 #include "accel/systolic_array.hh"
 #include "cache/cache.hh"
@@ -157,6 +163,119 @@ void bm_xbar_forward(benchmark::State& state)
                             (4 * kMiB / 64));
 }
 BENCHMARK(bm_xbar_forward);
+
+void bm_cache_fill(benchmark::State& state)
+{
+    // TrafficGen -> Cache -> SimpleMem with an 8 MiB footprint through a
+    // 64 KiB cache: a whole-line write pass installs dirty lines, then a
+    // read pass misses on every line and evicts them, so fills, victim
+    // selection and the batched writeback flush all run. One iteration is
+    // both passes; items are lines moved (fills plus writebacks).
+    cache::CacheParams cp;
+    cp.size_bytes = 64 * kKiB;
+    cp.assoc = 8;
+    cp.line_bytes = 64;
+    cp.mshrs = 16;
+    mem::TrafficGenParams read_tp;
+    read_tp.total_bytes = 8 * kMiB;
+    read_tp.working_set = 8 * kMiB;
+    read_tp.req_bytes = 64;
+    read_tp.window = 16;
+    mem::TrafficGenParams write_tp = read_tp;
+    write_tp.write_fraction = 1.0;
+
+    std::uint64_t lines = 0;
+    for (auto _ : state) {
+        for (const auto* tp : {&write_tp, &read_tp}) {
+            Simulator sim;
+            cache::Cache c(sim, "c", cp);
+            const mem::AddrRange range(0, 64 * kMiB);
+            mem::SimpleMem memory(sim, "mem", mem::SimpleMemParams{}, range);
+            mem::TrafficGen gen(sim, "gen", *tp);
+            gen.port().bind(c.cpu_side());
+            c.mem_side().bind(memory.port());
+            sim.startup();
+            gen.start([&sim] { sim.request_exit("done"); });
+            (void)sim.run();
+            lines += c.misses() + static_cast<std::uint64_t>(
+                                      sim.stats().value("c.writebacks"));
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+}
+BENCHMARK(bm_cache_fill);
+
+void bm_link_credit(benchmark::State& state)
+{
+    // A saturating sender pushes 64 B MWr TLPs through one PcieLink
+    // (Gen2 x4, 16 KiB data credits) into a consumer that frees ingress
+    // at once. The sender stalls whenever the in-flight window exceeds
+    // the advertised credits and is kicked by credit_avail, so both the
+    // lazy credit return and the stall path run. Items are TLPs.
+    struct Consumer final : pcie::PcieNode {
+        Simulator* sim = nullptr;
+        pcie::PciePort* port = nullptr;
+        std::uint64_t received = 0;
+        std::uint64_t target = 0;
+        void recv_tlp(unsigned, pcie::TlpPtr tlp) override
+        {
+            port->release_ingress(tlp->payload_bytes());
+            if (++received >= target) {
+                sim->request_exit("done");
+            }
+        }
+    };
+    struct Sender final : pcie::PcieNode {
+        pcie::PciePort* port = nullptr;
+        std::uint64_t sent = 0;
+        std::uint64_t target = 0;
+        void pump()
+        {
+            while (sent < target) {
+                auto tlp = pcie::tlp_pool().make_mem_write(
+                    0x1000 + (sent % 512) * 64, 64, 1);
+                if (!port->can_send(*tlp)) {
+                    return; // credit_avail kicks the next pump
+                }
+                port->send(std::move(tlp));
+                ++sent;
+            }
+        }
+        void recv_tlp(unsigned, pcie::TlpPtr) override {}
+        void credit_avail(unsigned) override { pump(); }
+    };
+
+    constexpr std::uint64_t kTlps = 100'000;
+    for (auto _ : state) {
+        Simulator sim;
+        pcie::PcieLink link(sim, "link", pcie::LinkParams{});
+        Sender tx;
+        Consumer rx;
+        tx.port = &link.end_a();
+        tx.target = kTlps;
+        rx.sim = &sim;
+        rx.port = &link.end_b();
+        rx.target = kTlps;
+        link.end_a().attach(tx, 0);
+        link.end_b().attach(rx, 0);
+        sim.startup();
+        tx.pump();
+        (void)sim.run();
+        if (rx.received < kTlps) {
+            // A stalled credit path ends the run early, which would
+            // report a truncated run as a fast one; fail the process.
+            std::fprintf(stderr,
+                         "bm_link_credit: credit flow stalled after %llu of "
+                         "%llu TLPs\n",
+                         static_cast<unsigned long long>(rx.received),
+                         static_cast<unsigned long long>(kTlps));
+            std::exit(3);
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(kTlps));
+}
+BENCHMARK(bm_link_credit);
 
 void bm_dram_stream(benchmark::State& state)
 {

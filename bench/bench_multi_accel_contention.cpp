@@ -13,10 +13,96 @@
 // `--restore PATH` resumes a snapshot; `--stats-out PATH` writes the final
 // stats registry as JSON. A straight run and a split-at-T run must produce
 // byte-identical stats files (the bit-identity contract).
+//
+// `--profile` runs each selected scenario under a dispatch observer and
+// prints per-component and per-event dispatch counts with inclusive time
+// shares, then the event core's counters. `--devices 4 --profile` profiles
+// the 4-endpoint 512^3 run (the gemm_host_4ep shape); add `--quick` for
+// 128^3.
 #include "bench_util.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <map>
+#include <string>
 #include <vector>
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Per-event-name dispatch counts and inclusive wall time: the interval
+/// from one dispatch to the next (callback, schedules, queue work) goes to
+/// the earlier event. The component is the name up to the first '.'.
+class Profiler final : public accesys::EventQueue::DispatchObserver {
+  public:
+    void on_dispatch(const accesys::Event& ev) override
+    {
+        const auto t = Clock::now();
+        if (last_ != nullptr) {
+            Row& r = events_[*last_];
+            ++r.count;
+            r.secs += std::chrono::duration<double>(t - last_t_).count();
+        }
+        last_ = &ev.name();
+        last_t_ = t;
+    }
+
+    void report() const
+    {
+        std::map<std::string, Row> components;
+        std::vector<Row> events;
+        Row total;
+        for (const auto& [name, r] : events_) {
+            events.push_back(Row{name, r.count, r.secs});
+            const std::string comp = name.substr(0, name.find('.'));
+            Row& c = components[comp];
+            c.name = comp;
+            c.count += r.count;
+            c.secs += r.secs;
+            total.count += r.count;
+            total.secs += r.secs;
+        }
+        std::vector<Row> comps;
+        for (const auto& [_, r] : components) {
+            comps.push_back(r);
+        }
+        std::printf("\nprofile: %llu dispatches, %.3f s attributed\n",
+                    static_cast<unsigned long long>(total.count),
+                    total.secs);
+        print(comps, "component", comps.size(), total.secs);
+        print(events, "event (top 24)", 24, total.secs);
+    }
+
+  private:
+    struct Row {
+        std::string name;
+        std::uint64_t count = 0;
+        double secs = 0.0;
+    };
+
+    static void print(std::vector<Row>& rows, const char* title,
+                      std::size_t limit, double total)
+    {
+        std::sort(rows.begin(), rows.end(),
+                  [](const Row& a, const Row& b) { return a.secs > b.secs; });
+        std::printf("\n  %-36s %12s %9s %7s\n", title, "events", "ms",
+                    "share");
+        for (std::size_t i = 0; i < rows.size() && i < limit; ++i) {
+            std::printf("  %-36s %12llu %9.1f %6.1f%%\n",
+                        rows[i].name.c_str(),
+                        static_cast<unsigned long long>(rows[i].count),
+                        rows[i].secs * 1e3, 100.0 * rows[i].secs / total);
+        }
+    }
+
+    std::map<std::string, Row> events_;
+    const std::string* last_ = nullptr;
+    Clock::time_point last_t_;
+};
+
+} // namespace
 
 int main(int argc, char** argv)
 {
@@ -35,6 +121,7 @@ int main(int argc, char** argv)
         benchutil::arg_str(argc, argv, "--restore", "");
     const std::string stats_out =
         benchutil::arg_str(argc, argv, "--stats-out", "");
+    const bool profile = benchutil::flag_present(argc, argv, "--profile");
 
     benchutil::header("bench_multi_accel_contention",
                       "multi-accelerator extension of Fig. 3",
@@ -69,7 +156,12 @@ int main(int argc, char** argv)
         for (std::size_t d = 0; d < n; ++d) {
             runner.dispatch(d, spec, core::Placement::host);
         }
+        Profiler prof;
+        if (profile) {
+            sys.sim().queue().set_dispatch_observer(&prof);
+        }
         const auto res = runner.run_dispatched();
+        sys.sim().queue().set_dispatch_observer(nullptr);
         if (res.checkpointed) {
             std::printf("checkpoint written to %s at tick %llu\n",
                         ckpt_path.c_str(),
@@ -105,6 +197,17 @@ int main(int argc, char** argv)
                     res.aggregate_gmacs(),
                     100.0 * sys.pcie_uplink().utilization(0),
                     ticks_to_us(last_done - first_done));
+        if (profile) {
+            prof.report();
+            const auto& q = sys.sim().queue();
+            std::printf("\nevent-core counters: %llu scheduled, %llu "
+                        "dispatched, %llu heap pushes, %llu near-ring hits"
+                        "\n\n",
+                        static_cast<unsigned long long>(q.events_scheduled()),
+                        static_cast<unsigned long long>(q.events_processed()),
+                        static_cast<unsigned long long>(q.heap_pushes()),
+                        static_cast<unsigned long long>(q.near_ring_hits()));
+        }
     }
 
     if (solo_gbps > 0.0) {

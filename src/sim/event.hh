@@ -145,7 +145,8 @@ class Event {
 /// Min-heap event scheduler; also the keeper of simulated time.
 class EventQueue {
   public:
-    /// Pre-dispatch hook for profiling tools (see perf_baseline --profile).
+    /// Pre-dispatch hook for profiling tools (see
+    /// bench_multi_accel_contention --profile and benchmark/leg.cc).
     /// Called with every event about to execute; the hot path pays one
     /// predictable branch when no observer is installed.
     class DispatchObserver {

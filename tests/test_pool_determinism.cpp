@@ -48,6 +48,7 @@ struct SimSnapshot {
     Tick end_tick = 0;
     std::uint64_t events = 0;
     bool verified = false;
+    double iocache_writebacks = 0.0;
 };
 
 SimSnapshot snapshot_of(core::System& sys, bool verified)
@@ -56,6 +57,7 @@ SimSnapshot snapshot_of(core::System& sys, bool verified)
     snap.end_tick = sys.sim().now();
     snap.events = sys.sim().queue().events_processed();
     snap.verified = verified;
+    snap.iocache_writebacks = sys.stats().value("iocache.writebacks");
     std::ostringstream text;
     sys.stats().write_text(text);
     snap.stats_text = text.str();
@@ -648,13 +650,29 @@ TEST(PoolDeterminism, SteadyStateForwardingAllocatesNothing)
 {
     // Warm-up run, then measure: the second identical sim must not grow
     // either pool's heap-allocation counter — every transaction object is
-    // served from the free lists.
-    (void)run_gemm_sim(1, 48);
-    const std::uint64_t pkt_allocs = mem::packet_pool().allocs_total();
-    const std::uint64_t tlp_allocs = pcie::tlp_pool().allocs_total();
-    (void)run_gemm_sim(1, 48);
-    EXPECT_EQ(mem::packet_pool().allocs_total(), pkt_allocs);
-    EXPECT_EQ(pcie::tlp_pool().allocs_total(), tlp_allocs);
+    // served from the free lists. Two shapes: one endpoint at 48^3, and
+    // the 4-endpoint contention config at 128^3 (switch, shared uplink),
+    // whose DMA writes of C fill dirty IOCache lines that are later
+    // evicted and written back.
+    struct Shape {
+        std::size_t devices;
+        std::uint32_t size;
+    };
+    for (const Shape shape : {Shape{1, 48}, Shape{4, 128}}) {
+        SCOPED_TRACE(std::to_string(shape.devices) + " endpoints, " +
+                     std::to_string(shape.size) + "^3");
+        (void)run_gemm_sim(shape.devices, shape.size);
+        const std::uint64_t pkt_allocs = mem::packet_pool().allocs_total();
+        const std::uint64_t tlp_allocs = pcie::tlp_pool().allocs_total();
+        const SimSnapshot measured = run_gemm_sim(shape.devices, shape.size);
+        EXPECT_TRUE(measured.verified);
+        EXPECT_EQ(mem::packet_pool().allocs_total(), pkt_allocs);
+        EXPECT_EQ(pcie::tlp_pool().allocs_total(), tlp_allocs);
+        if (shape.devices == 4) {
+            EXPECT_GT(measured.iocache_writebacks, 0.0)
+                << "the 4-endpoint run must cover writeback churn";
+        }
+    }
 }
 
 } // namespace
