@@ -14,9 +14,10 @@
 // stats registry as JSON. A straight run and a split-at-T run must produce
 // byte-identical stats files (the bit-identity contract).
 //
-// `--profile` runs each selected scenario under a dispatch observer and
-// prints per-component and per-event dispatch counts with inclusive time
-// shares, then the event core's counters. `--devices 4 --profile` profiles
+// `--profile` runs each selected scenario three times, on fresh systems,
+// under a dispatch observer and prints per-event dispatch counts with each
+// event's median inclusive time and share (a component row sums its
+// events), then the event core's counters. `--devices 4 --profile` profiles
 // the 4-endpoint 512^3 run (the gemm_host_4ep shape); add `--quick` for
 // 128^3.
 #include "bench_util.hh"
@@ -31,6 +32,9 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Fresh runs per profiled scenario; each event reports its median.
+constexpr std::size_t kProfileRuns = 3;
 
 /// Per-event-name dispatch counts and inclusive wall time: the interval
 /// from one dispatch to the next (callback, schedules, queue work) goes to
@@ -47,6 +51,29 @@ class Profiler final : public accesys::EventQueue::DispatchObserver {
         }
         last_ = &ev.name();
         last_t_ = t;
+    }
+
+    /// Each event's median time over `runs`, fresh runs of one scenario:
+    /// a host preemption inflates the interval of whichever event it lands
+    /// on, but in one run only. A component row sums its events' medians.
+    static Profiler median_of(const std::vector<Profiler>& runs)
+    {
+        Profiler med;
+        for (const auto& [name, r] : runs.front().events_) {
+            std::vector<double> secs;
+            for (const Profiler& run : runs) {
+                const auto it = run.events_.find(name);
+                accesys::ensure(run.events_.size() ==
+                                        runs.front().events_.size() &&
+                                    it != run.events_.end() &&
+                                    it->second.count == r.count,
+                                "profiled runs dispatched different events");
+                secs.push_back(it->second.secs);
+            }
+            std::sort(secs.begin(), secs.end());
+            med.events_[name] = Row{name, r.count, secs[secs.size() / 2]};
+        }
+        return med;
     }
 
     void report() const
@@ -68,9 +95,10 @@ class Profiler final : public accesys::EventQueue::DispatchObserver {
         for (const auto& [_, r] : components) {
             comps.push_back(r);
         }
-        std::printf("\nprofile: %llu dispatches, %.3f s attributed\n",
-                    static_cast<unsigned long long>(total.count),
-                    total.secs);
+        std::printf("\nprofile: %llu dispatches per run, %.3f s attributed "
+                    "(per-event medians of %zu runs)\n",
+                    static_cast<unsigned long long>(total.count), total.secs,
+                    kProfileRuns);
         print(comps, "component", comps.size(), total.secs);
         print(events, "event (top 24)", 24, total.secs);
     }
@@ -148,17 +176,21 @@ int main(int argc, char** argv)
             sys.sim().request_checkpoint_at(ckpt_path,
                                             ticks_from_ns(ckpt_at_ns));
         }
-        if (!restore.empty()) {
-            runner.set_restore_path(restore);
-        }
 
         const workload::GemmSpec spec{size, size, size, /*seed=*/3};
-        for (std::size_t d = 0; d < n; ++d) {
-            runner.dispatch(d, spec, core::Placement::host);
-        }
-        Profiler prof;
+        const auto start = [&](core::Runner& r) {
+            if (!restore.empty()) {
+                r.set_restore_path(restore);
+            }
+            for (std::size_t d = 0; d < n; ++d) {
+                r.dispatch(d, spec, core::Placement::host);
+            }
+        };
+        start(runner);
+        // This run is the first profiled run; the others follow the row.
+        std::vector<Profiler> profs(profile ? kProfileRuns : 0);
         if (profile) {
-            sys.sim().queue().set_dispatch_observer(&prof);
+            sys.sim().queue().set_dispatch_observer(&profs.front());
         }
         const auto res = runner.run_dispatched();
         sys.sim().queue().set_dispatch_observer(nullptr);
@@ -198,7 +230,14 @@ int main(int argc, char** argv)
                     100.0 * sys.pcie_uplink().utilization(0),
                     ticks_to_us(last_done - first_done));
         if (profile) {
-            prof.report();
+            for (std::size_t i = 1; i < profs.size(); ++i) {
+                core::System again(cfg);
+                core::Runner again_runner(again);
+                start(again_runner);
+                again.sim().queue().set_dispatch_observer(&profs[i]);
+                (void)again_runner.run_dispatched();
+            }
+            Profiler::median_of(profs).report();
             const auto& q = sys.sim().queue();
             std::printf("\nevent-core counters: %llu scheduled, %llu "
                         "dispatched, %llu heap pushes, %llu near-ring hits"

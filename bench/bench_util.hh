@@ -2,8 +2,10 @@
 //
 // Every bench binary is self-contained: it builds fresh System instances,
 // runs the paper's sweep, and prints the same rows/series the paper
-// reports. Pass --quick for a reduced sweep (smaller matrices / fewer
-// points) when iterating.
+// reports. Most reproduce one figure or table; bench_fig7_9_transformer
+// prints Figs. 7, 8 and 9 from one simulation per design point, since the
+// three share core::transformer_design_points(). Pass --quick for a
+// reduced sweep (smaller matrices / fewer points) when iterating.
 #pragma once
 
 #include <atomic>

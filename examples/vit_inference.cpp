@@ -23,9 +23,8 @@ int main(int argc, char** argv)
 
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     if (place == core::Placement::devmem) {
-        cfg.set_devmem("HBM2");
-        cfg.set_packet_size(64);
-        cfg.set_pcie_target_gbps(64.0, 16);
+        // Fig. 7 "DevMem", the last design point.
+        cfg = core::transformer_design_points().back().cfg;
     } else {
         cfg.set_host_dram("DDR4");
         cfg.set_pcie_target_gbps(pcie_gbps);
@@ -33,8 +32,7 @@ int main(int argc, char** argv)
 
     const auto sum = workload::summarize(workload::lower_vit(model));
     std::printf("%s on %s memory (%.0f GB/s PCIe)\n", model.name.c_str(),
-                place_name.c_str(),
-                place == core::Placement::devmem ? 64.0 : pcie_gbps);
+                place_name.c_str(), cfg.pcie.effective_gbps());
     std::printf("  %llu GEMM offloads (%.2f GMAC), %llu Non-GEMM ops "
                 "(%.1f MiB streamed)\n",
                 static_cast<unsigned long long>(sum.gemm_count),

@@ -74,6 +74,26 @@ SystemConfig SystemConfig::paper_default()
     return cfg;
 }
 
+std::vector<DesignPoint> transformer_design_points()
+{
+    const auto host = [](const char* label, const char* dram, double gbps,
+                         unsigned lanes) {
+        SystemConfig cfg = SystemConfig::paper_default();
+        cfg.set_host_dram(dram);
+        cfg.set_pcie_target_gbps(gbps, lanes);
+        cfg.set_packet_size(256);
+        return DesignPoint{label, Placement::host, cfg};
+    };
+    SystemConfig devmem = SystemConfig::paper_default();
+    devmem.set_devmem("HBM2");
+    devmem.set_packet_size(64);
+    devmem.set_pcie_target_gbps(64.0, 16);
+    return {host("PCIe-2GB", "DDR4", 2.0, 4),
+            host("PCIe-8GB", "DDR4", 8.0, 8),
+            host("PCIe-64GB", "HBM2", 64.0, 16),
+            {"DevMem", Placement::devmem, devmem}};
+}
+
 void SystemConfig::set_packet_size(std::uint32_t bytes)
 {
     accel.dma.request_bytes = bytes;

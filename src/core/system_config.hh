@@ -238,4 +238,20 @@ struct SystemConfig {
     void validate() const;
 };
 
+/// One system of the paper's transformer study (§V-C/D).
+struct DesignPoint {
+    const char* label;
+    Placement place;
+    SystemConfig cfg;
+};
+
+/// The four systems of Figs. 7, 8 and 9, in the paper's order:
+///   PCIe-2GB  : host DDR4,  2 GB/s PCIe (x4),  256 B packets
+///   PCIe-8GB  : host DDR4,  8 GB/s PCIe (x8),  256 B packets
+///   PCIe-64GB : host HBM2, 64 GB/s PCIe (x16), 256 B packets
+///   DevMem    : device-side HBM2, 64 B packets, 64 GB/s x16 link
+/// DevMem keeps the Table II host memory; its fast link carries control
+/// and the CPU's NUMA traffic, while GEMM data stays on the device.
+[[nodiscard]] std::vector<DesignPoint> transformer_design_points();
+
 } // namespace accesys::core

@@ -3,6 +3,9 @@
 // the evaluation section reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "core/runner.hh"
 
 namespace accesys::core {
@@ -15,26 +18,22 @@ workload::VitConfig tiny_vit()
     return workload::VitConfig{"ViT-Test", 1, 192, 3, 4, 197};
 }
 
-struct VitPoint {
-    const char* label;
-    Placement place;
-    double pcie_gbps;
-    const char* mem;
-    std::uint32_t pkt;
-};
-
-VitRunResult run_point(const VitPoint& p, const workload::VitConfig& model)
+/// The shared Figs. 7-9 system called `label`.
+DesignPoint point(std::string_view label)
 {
-    SystemConfig cfg = SystemConfig::paper_default();
-    cfg.set_packet_size(p.pkt);
-    if (p.place == Placement::host) {
-        cfg.set_host_dram(p.mem);
-        cfg.set_pcie_target_gbps(p.pcie_gbps);
-    } else {
-        cfg.set_devmem(p.mem);
-        cfg.set_pcie_target_gbps(64.0, 16);
-    }
-    System sys(cfg);
+    const auto points = transformer_design_points();
+    const auto it =
+        std::find_if(points.begin(), points.end(),
+                     [&](const DesignPoint& p) { return p.label == label; });
+    require_cfg(it != points.end(), "no design point named ", label);
+    return *it;
+}
+
+VitRunResult run_point(std::string_view label,
+                       const workload::VitConfig& model)
+{
+    const DesignPoint p = point(label);
+    System sys(p.cfg);
     Runner runner(sys);
     return runner.run_vit(model, p.place);
 }
@@ -42,8 +41,7 @@ VitRunResult run_point(const VitPoint& p, const workload::VitConfig& model)
 TEST(IntegrationVit, PhaseAccountingConsistent)
 {
     const auto model = tiny_vit();
-    const auto res = run_point(
-        VitPoint{"PCIe-8GB", Placement::host, 8.0, "DDR4", 256}, model);
+    const auto res = run_point("PCIe-8GB", model);
 
     const auto sum = workload::summarize(workload::lower_vit(model));
     EXPECT_EQ(res.gemm_cmds, sum.gemm_count);
@@ -58,12 +56,9 @@ TEST(IntegrationVit, PhaseAccountingConsistent)
 TEST(IntegrationVit, BandwidthOrderingHolds)
 {
     const auto model = tiny_vit();
-    const auto r2 = run_point(
-        VitPoint{"PCIe-2GB", Placement::host, 2.0, "DDR4", 256}, model);
-    const auto r8 = run_point(
-        VitPoint{"PCIe-8GB", Placement::host, 8.0, "DDR4", 256}, model);
-    const auto r64 = run_point(
-        VitPoint{"PCIe-64GB", Placement::host, 64.0, "HBM2", 256}, model);
+    const auto r2 = run_point("PCIe-2GB", model);
+    const auto r8 = run_point("PCIe-8GB", model);
+    const auto r64 = run_point("PCIe-64GB", model);
 
     // Paper Fig. 7: more PCIe bandwidth, faster inference.
     EXPECT_GT(r2.elapsed(), r8.elapsed());
@@ -77,10 +72,8 @@ TEST(IntegrationVit, BandwidthOrderingHolds)
 TEST(IntegrationVit, DevMemTradeoffMatchesFig8)
 {
     const auto model = tiny_vit();
-    const auto pcie64 = run_point(
-        VitPoint{"PCIe-64GB", Placement::host, 64.0, "HBM2", 256}, model);
-    const auto devmem = run_point(
-        VitPoint{"DevMem", Placement::devmem, 0.0, "HBM2", 64}, model);
+    const auto pcie64 = run_point("PCIe-64GB", model);
+    const auto devmem = run_point("DevMem", model);
 
     // Paper Fig. 8: DevMem wins the GEMM phase...
     EXPECT_LT(devmem.gemm_ticks, pcie64.gemm_ticks);
@@ -93,11 +86,10 @@ TEST(IntegrationVit, DevMemTradeoffMatchesFig8)
 TEST(IntegrationVit, CommandsMatchAcceleratorCounters)
 {
     const auto model = tiny_vit();
-    SystemConfig cfg = SystemConfig::paper_default();
-    cfg.set_pcie_target_gbps(8.0);
-    System sys(cfg);
+    const DesignPoint p = point("PCIe-8GB");
+    System sys(p.cfg);
     Runner runner(sys);
-    const auto res = runner.run_vit(model, Placement::host);
+    const auto res = runner.run_vit(model, p.place);
     EXPECT_EQ(sys.stat("mf.commands"), static_cast<double>(res.gemm_cmds));
     EXPECT_EQ(sys.stat("cpu0.vector_ops"),
               static_cast<double>(res.vector_ops));
@@ -108,12 +100,10 @@ TEST(IntegrationVit, CommandsMatchAcceleratorCounters)
 TEST(IntegrationVit, DevMemUsesAperture)
 {
     const auto model = tiny_vit();
-    SystemConfig cfg = SystemConfig::paper_default();
-    cfg.set_devmem("HBM2");
-    cfg.set_packet_size(64);
-    System sys(cfg);
+    const DesignPoint p = point("DevMem");
+    System sys(p.cfg);
     Runner runner(sys);
-    (void)runner.run_vit(model, Placement::devmem);
+    (void)runner.run_vit(model, p.place);
     // CPU Non-GEMM reads crossed PCIe into device memory.
     EXPECT_GT(sys.stat("mf.aperture_reads"), 0.0);
     EXPECT_GT(sys.stat("mf.aperture_writes"), 0.0);

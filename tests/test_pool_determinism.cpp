@@ -382,20 +382,18 @@ TEST(CheckpointRoundTrip, DevMemSplitRunsBitIdentical)
         },
         {3, 5, 7}, "4-endpoint HBM2 devmem GEMM");
 
-    // Fig. 7 "DevMem": CPU loads and stores cross PCIe into the aperture.
-    core::SystemConfig vit_cfg = core::SystemConfig::paper_default();
-    vit_cfg.set_devmem("HBM2");
-    vit_cfg.set_packet_size(64);
-    vit_cfg.set_pcie_target_gbps(64.0, 16);
+    // Fig. 7 "DevMem" (the last design point): CPU loads and stores cross
+    // PCIe into the aperture.
+    const core::DesignPoint devmem = core::transformer_design_points().back();
     workload::VitConfig vit = workload::VitConfig::base();
     vit.layers = 1;
     vit.seq = 50;
     expect_splits_identical(
-        vit_cfg,
-        [&vit](core::System&, core::Runner& runner) {
+        devmem.cfg,
+        [&vit, &devmem](core::System&, core::Runner& runner) {
             // A resumed run skips the ops before the checkpoint, so only
             // the straight run's count is meaningful.
-            const auto res = runner.run_vit(vit, core::Placement::devmem);
+            const auto res = runner.run_vit(vit, devmem.place);
             return res.gemm_cmds > 0 || res.vector_ops > 0;
         },
         {2, 5, 8}, "1-layer ViT-Base at Fig. 7 DevMem");

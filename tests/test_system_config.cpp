@@ -97,5 +97,38 @@ TEST(SystemConfig, MatrixFlowDefaultsMatchPaper)
     EXPECT_DOUBLE_EQ(cfg.accel.sa.freq_ghz, 1.0);
 }
 
+TEST(SystemConfig, TransformerDesignPointsMatchFig7)
+{
+    struct Expected {
+        const char* label;
+        Placement place;
+        double gbps;
+        const char* host_dram;
+        std::uint32_t packet;
+    };
+    const Expected expected[] = {
+        {"PCIe-2GB", Placement::host, 2.0, "DDR4-2400", 256},
+        {"PCIe-8GB", Placement::host, 8.0, "DDR4-2400", 256},
+        {"PCIe-64GB", Placement::host, 64.0, "HBM2", 256},
+        {"DevMem", Placement::devmem, 64.0, "DDR3-1600", 64},
+    };
+    const auto points = transformer_design_points();
+    ASSERT_EQ(points.size(), std::size(expected));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto& p = points[i];
+        const auto& e = expected[i];
+        SCOPED_TRACE(e.label);
+        EXPECT_STREQ(p.label, e.label);
+        EXPECT_EQ(p.place, e.place);
+        EXPECT_NEAR(p.cfg.pcie.effective_gbps(), e.gbps, 1e-9);
+        EXPECT_EQ(p.cfg.host_mem.dram.name, e.host_dram);
+        EXPECT_EQ(p.cfg.enable_devmem, e.place == Placement::devmem);
+        EXPECT_EQ(p.cfg.accel.dma.request_bytes, e.packet);
+        EXPECT_EQ(p.cfg.rc.max_payload_bytes, e.packet);
+        EXPECT_NO_THROW(p.cfg.validate());
+    }
+    EXPECT_EQ(points.back().cfg.devmem_mem.dram.name, "HBM2");
+}
+
 } // namespace
 } // namespace accesys::core
