@@ -2,16 +2,19 @@
 // event-queue throughput, packet/TLP pool churn, xbar forwarding, cache
 // fill/evict churn, DRAM timing, TLB, PCIe link serialization and
 // credit-gated link throughput, the systolic-array functional strip, the
-// int8 GEMM kernel under it (MACs/s per path and shape) and the operand
-// fill. These guard the simulator's own performance, which bounds how
-// large a sweep the figure benches can afford. tools/perf_gate.sh runs
-// the event-queue, packet-alloc, xbar, DRAM-stream, cache-fill and
-// link-credit cases against a base build on the same machine.
+// int8 GEMM kernel under it (MACs/s per path and shape), the operand
+// fill and the device-memory C-strip write-back. These guard the
+// simulator's own performance, which bounds how large a sweep the figure
+// benches can afford. tools/perf_gate.sh runs the event-queue,
+// packet-alloc, xbar, DRAM-stream, cache-fill and link-credit cases
+// against a base build on the same machine.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
+#include "accel/data_mover.hh"
 #include "accel/systolic_array.hh"
 #include "cache/cache.hh"
 #include "mem/dram_timing.hh"
@@ -394,6 +397,54 @@ BENCHMARK(bm_init_gemm_data)
     ->Arg(48)
     ->Arg(512)
     ->Arg(768);
+
+void bm_c_strip_writeback(benchmark::State& state)
+{
+    // The accelerator's C write-back on the device-memory path: each
+    // iteration hands DevMemMover one strip (16 C rows of 64 B, 3 KiB
+    // apart) as one batch and drains it. Strips walk a 768 x 768 int32 C
+    // (2.25 MiB, larger than L2) in MatrixFlow's order, column block
+    // outer, so each strip's destination lines are cold.
+    constexpr Addr kDevBase = 0x200000000000ULL;
+    constexpr Addr kStaging = 0x700000000000ULL;
+    constexpr std::uint32_t kN = 768;
+    const mem::AddrRange range = mem::AddrRange::with_size(kDevBase, kGiB);
+    Simulator sim;
+    mem::BackingStore store;
+    mem::SimpleMem devmem(sim, "devmem", mem::SimpleMemParams{}, range);
+    accel::DevMemMover mover(sim, "mover", accel::DevMemMover::Params{},
+                             range, store);
+    mover.port().bind(devmem.port());
+    const std::vector<std::int32_t> strip_c(16 * 16, 1);
+    store.write(kStaging, strip_c.data(), strip_c.size() * 4);
+    // Allocate C's chunks up front: the loop times copies, not first touch.
+    for (Addr off = 0; off < Addr{kN} * kN * 4;
+         off += mem::BackingStore::kChunkBytes) {
+        store.write_obj<std::uint8_t>(kDevBase + off, 0);
+    }
+    std::array<accel::TransferJob, 16> jobs;
+    std::uint32_t strip = 0;
+    std::uint32_t col_block = 0;
+    for (auto _ : state) {
+        for (std::uint32_t row = 0; row < jobs.size(); ++row) {
+            jobs[row] = accel::TransferJob{
+                kStaging + row * 64,
+                kDevBase + (Addr{strip} * 16 + row) * kN * 4 +
+                    Addr{col_block} * 64,
+                64, {}};
+        }
+        mover.submit(jobs);
+        benchmark::DoNotOptimize(sim.run().events);
+        benchmark::ClobberMemory();
+        if (++strip == kN / 16) {
+            strip = 0;
+            col_block = (col_block + 1) % (kN / 16);
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            16 * 64);
+}
+BENCHMARK(bm_c_strip_writeback);
 
 void bm_memctrl_traffic(benchmark::State& state)
 {

@@ -1,31 +1,38 @@
 #include "accel/data_mover.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "sim/serialize.hh"
 
 namespace accesys::accel {
 
-void PcieDmaMover::submit(TransferJob job)
+void PcieDmaMover::submit(std::span<const TransferJob> jobs)
 {
-    const bool src_host = host_range_.contains(job.src);
-    const bool dst_host = host_range_.contains(job.dst);
-    ensure(src_host != dst_host,
-           "PCIe transfer must cross the host boundary exactly once");
-
-    dma::DmaJob dj;
-    if (src_host) {
-        dj.dir = dma::DmaJob::Dir::host_to_dev;
-        dj.host_addr = job.src;
-        dj.dev_addr = job.dst;
-    } else {
-        dj.dir = dma::DmaJob::Dir::dev_to_host;
-        dj.host_addr = job.dst;
-        dj.dev_addr = job.src;
+    ensure(jobs.size() <= kMaxBatch, "PCIe mover batch too large");
+    // Translated on the stack, not into a member: a continuation fired
+    // while the engine pumps may submit again (a run's completion flag).
+    std::array<dma::DmaJob, kMaxBatch> batch;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const TransferJob& job = jobs[i];
+        const bool src_host = host_range_.contains(job.src);
+        const bool dst_host = host_range_.contains(job.dst);
+        ensure(src_host != dst_host,
+               "PCIe transfer must cross the host boundary exactly once");
+        dma::DmaJob& dj = batch[i];
+        if (src_host) {
+            dj.dir = dma::DmaJob::Dir::host_to_dev;
+            dj.host_addr = job.src;
+            dj.dev_addr = job.dst;
+        } else {
+            dj.dir = dma::DmaJob::Dir::dev_to_host;
+            dj.host_addr = job.dst;
+            dj.dev_addr = job.src;
+        }
+        dj.bytes = job.bytes;
+        dj.on_complete = job.on_complete;
     }
-    dj.bytes = job.bytes;
-    dj.on_complete = job.on_complete;
-    engine_->submit(std::move(dj));
+    engine_->submit(std::span(batch.data(), jobs.size()));
 }
 
 DevMemMover::DevMemMover(Simulator& sim, std::string name,
@@ -46,19 +53,25 @@ DevMemMover::DevMemMover(Simulator& sim, std::string name,
         [](void* s) { static_cast<DevMemMover*>(s)->retry_req(); }, this);
 }
 
-void DevMemMover::submit(TransferJob job)
+void DevMemMover::submit(std::span<const TransferJob> jobs)
 {
-    ensure(job.bytes > 0 && job.bytes < (1ULL << 24), name(),
-           ": transfer size out of range");
-    const bool reads_devmem = devmem_range_.contains(job.src);
-    if (!reads_devmem) {
-        // Write path (scratchpad -> device memory): snapshot now, since the
-        // producer may reuse its staging buffer before the writes drain.
-        store_->copy(job.dst, job.src, job.bytes);
+    ensure(jobs.size() <= kMaxBatch, name(), ": batch too large");
+    // Write path (scratchpad -> device memory): snapshot the whole batch
+    // first, since the producer may reuse its staging buffer before the
+    // writes drain.
+    for (const TransferJob& job : jobs) {
+        ensure(job.bytes > 0 && job.bytes < (1ULL << 24), name(),
+               ": transfer size out of range");
+        if (!devmem_range_.contains(job.src)) {
+            store_->copy(job.dst, job.src, job.bytes);
+        }
     }
-    active_.push_back(JobState{job, 0, 0, reads_devmem});
-    ++next_id_;
-    pump();
+    for (const TransferJob& job : jobs) {
+        active_.push_back(
+            JobState{job, 0, 0, devmem_range_.contains(job.src)});
+        ++next_id_;
+        pump();
+    }
 }
 
 void DevMemMover::pump()

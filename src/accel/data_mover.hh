@@ -13,7 +13,17 @@
 // heap once the ring has grown to the working set. An id below the ring's
 // front belongs to a job a function-level reset dropped; its response is
 // swallowed as an orphan.
+//
+// Jobs arrive in batches. A batch first takes every job's write snapshot
+// (the bytes a store-bound job carries, copied now because the producer may
+// reuse its staging buffer before the writes drain) back to back, then
+// enqueues and pumps the jobs in order. The controller submits a C strip's
+// rows as one batch, so the strip's cold-line store misses overlap instead
+// of each stalling the next job's submit; packets, ticks and stats are
+// those of the same jobs submitted one at a time.
 #pragma once
+
+#include <span>
 
 #include "dma/dma_engine.hh"
 #include "mem/addr_range.hh"
@@ -34,8 +44,15 @@ struct TransferJob {
 
 class DataMover {
   public:
+    /// Most jobs one batch holds: one C strip's rows.
+    static constexpr std::size_t kMaxBatch = 16;
+
     virtual ~DataMover() = default;
-    virtual void submit(TransferJob job) = 0;
+    /// Snapshot every job's source bytes that must be captured now, then
+    /// enqueue and pump the jobs in order (see the file comment).
+    virtual void submit(std::span<const TransferJob> jobs) = 0;
+    /// A single transfer: a batch of one.
+    void submit(const TransferJob& job) { submit(std::span(&job, 1)); }
 };
 
 /// Routes transfers through the endpoint's PCIe DMA engine. Exactly one of
@@ -47,7 +64,8 @@ class PcieDmaMover final : public DataMover {
     {
     }
 
-    void submit(TransferJob job) override;
+    using DataMover::submit;
+    void submit(std::span<const TransferJob> jobs) override;
 
   private:
     dma::DmaEngine* engine_;
@@ -69,7 +87,8 @@ class DevMemMover final : public SimObject,
 
     [[nodiscard]] mem::RequestPort& port() noexcept { return port_; }
 
-    void submit(TransferJob job) override;
+    using DataMover::submit;
+    void submit(std::span<const TransferJob> jobs) override;
 
     [[nodiscard]] bool idle() const { return active_.empty(); }
 

@@ -1,6 +1,7 @@
 #include "accel/matrixflow.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "sim/serialize.hh"
 
@@ -365,18 +366,21 @@ void MatrixFlowDevice::write_c_strip(std::uint32_t strip)
     Run& r = *run_;
     const std::uint32_t rows = strip_rows(strip);
     const std::uint32_t col0 = r.cur_jb * r.jb_cols;
-    // C rows are strided in the destination: one job per row segment.
+    // C rows are strided in the destination: one job per row segment, all
+    // in one batch so the rows' snapshot copies run back to back.
+    std::array<TransferJob, 16> jobs;
     for (std::uint32_t row = 0; row < rows; ++row) {
         const Addr dst =
             r.cmd.addr_c +
             (static_cast<Addr>(strip) * 16 + row) * r.cmd.n * 4 +
             static_cast<Addr>(col0) * 4;
-        ++r.outstanding_c_jobs;
-        r.mover->submit(TransferJob{
+        jobs[row] = TransferJob{
             r.buf_c + static_cast<Addr>(row) * r.cur_cols * 4, dst,
             static_cast<std::uint64_t>(r.cur_cols) * 4,
-            dma::Continuation{this, kContCWritten, 0}});
+            dma::Continuation{this, kContCWritten, 0}};
     }
+    r.outstanding_c_jobs += rows;
+    r.mover->submit(std::span(jobs.data(), rows));
 }
 
 void MatrixFlowDevice::block_done()

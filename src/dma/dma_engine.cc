@@ -55,16 +55,21 @@ void DmaEngine::set_request_bytes(std::uint32_t bytes)
     params_.validate();
 }
 
-void DmaEngine::submit(DmaJob job)
+void DmaEngine::submit(std::span<const DmaJob> jobs)
 {
-    ensure(job.bytes > 0, name(), ": zero-length DMA job");
-    if (job.dir == DmaJob::Dir::dev_to_host) {
-        // Snapshot the device data now: the producer may reuse its staging
-        // buffer before the posted writes drain (models a drain FIFO).
-        store_->copy(job.host_addr, job.dev_addr, job.bytes);
+    // Snapshot the device data of the whole batch now: the producer may
+    // reuse its staging buffer before the posted writes drain (models a
+    // drain FIFO).
+    for (const DmaJob& job : jobs) {
+        ensure(job.bytes > 0, name(), ": zero-length DMA job");
+        if (job.dir == DmaJob::Dir::dev_to_host) {
+            store_->copy(job.host_addr, job.dev_addr, job.bytes);
+        }
     }
-    queued_.push_back(std::move(job));
-    pump();
+    for (const DmaJob& job : jobs) {
+        queued_.push_back(job);
+        pump();
+    }
 }
 
 void DmaEngine::pump()

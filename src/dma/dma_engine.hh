@@ -6,13 +6,14 @@
 // (device -> host) are posted MWr TLPs of `write_bytes`, gated by the
 // endpoint's egress depth.
 //
-// Functional data moves through the global BackingStore when a chunk
-// completes (reads) or is issued (writes); see DESIGN.md on the
-// timing/functional split.
+// Functional data moves through the global BackingStore when a read chunk
+// completes, and when a write job is submitted (a snapshot: the producer
+// may reuse its buffer before the posted writes drain).
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mem/backing_store.hh"
@@ -108,8 +109,13 @@ class DmaEngine final : public SimObject {
     DmaEngine(Simulator& sim, std::string name, const DmaParams& params,
               DmaPort& port, mem::BackingStore& store);
 
-    /// Queue a transfer; runs when a channel frees up.
-    void submit(DmaJob job);
+    /// Queue a batch of transfers; each runs when a channel frees up. The
+    /// device->host jobs' data is snapshotted first, back to back, then the
+    /// jobs are queued and pumped in order, exactly as one-at-a-time
+    /// submits would queue them.
+    void submit(std::span<const DmaJob> jobs);
+    /// A single transfer: a batch of one.
+    void submit(const DmaJob& job) { submit(std::span(&job, 1)); }
 
     [[nodiscard]] bool idle() const
     {

@@ -56,13 +56,28 @@ std::uint64_t gemm_check(const mem::BackingStore& store, const GemmSpec& spec,
                          Addr c_addr,
                          const std::vector<std::int32_t>& golden)
 {
-    std::vector<std::int32_t> c(static_cast<std::size_t>(spec.m) * spec.n);
-    store.read(c_addr, c.data(), c.size() * 4);
+    const std::size_t count = static_cast<std::size_t>(spec.m) * spec.n;
+    ensure(golden.size() == count, "gemm_check: golden holds ",
+           golden.size(), " elements, C has ", count);
+    // Compare C where it lies, one in-chunk run at a time. view() stages
+    // only a run whose chunk was never written (it reads as zero) or an
+    // element that straddles a chunk seam.
+    std::vector<std::int32_t> staging;
     std::uint64_t mismatches = 0;
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        if (c[i] != golden[i]) {
-            ++mismatches;
+    for (std::size_t i = 0; i < count;) {
+        const Addr addr = c_addr + static_cast<Addr>(i) * 4;
+        const std::uint64_t room =
+            (mem::BackingStore::kChunkBytes -
+             (addr & mem::BackingStore::kChunkMask)) /
+            4;
+        const std::size_t run = static_cast<std::size_t>(
+            std::clamp<std::uint64_t>(room, 1, count - i));
+        const std::int32_t* c = store.view(addr, run, staging);
+        const std::int32_t* g = golden.data() + i;
+        for (std::size_t j = 0; j < run; ++j) {
+            mismatches += c[j] != g[j] ? 1 : 0;
         }
+        i += run;
     }
     return mismatches;
 }

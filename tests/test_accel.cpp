@@ -2,6 +2,8 @@
 #include "test_util.hh"
 
 #include <algorithm>
+#include <array>
+#include <sstream>
 
 #include "accel/data_mover.hh"
 #include "accel/systolic_array.hh"
@@ -426,6 +428,112 @@ TEST_F(MoverFixture, ResponseForUnknownJobThrows)
     // ... but a response tagged with a job id never handed out is not.
     mem_side.requests.front()->set_tag(std::uint64_t{7} << 24);
     EXPECT_THROW(mem_side.answer_one(), SimError);
+}
+
+/// One C strip's write-back: 16 rows of 64 B, packed in a scratchpad
+/// staging buffer at `src`, each landing a 3 KiB row stride apart at `dst`.
+std::array<TransferJob, 16> strip_jobs(Addr src, Addr dst, Recorder& rec)
+{
+    std::array<TransferJob, 16> jobs;
+    for (std::uint32_t row = 0; row < jobs.size(); ++row) {
+        jobs[row] = TransferJob{src + row * 64, dst + row * 3072, 64,
+                                rec.cont(row)};
+    }
+    return jobs;
+}
+
+TEST_F(HbmMoverFixture, BatchLandsEveryRowAfterTheSourceIsReused)
+{
+    build_hbm();
+    const Addr dst = kDevBase + 0x10000;
+    const auto want = fill(kScratch, 16 * 64, 5);
+    mover->submit(strip_jobs(kScratch, dst, rec));
+    // The producer reuses its staging buffer at once (the next strip).
+    fill(kScratch, 16 * 64, 6);
+    test::drain(sim);
+
+    ASSERT_EQ(rec.fired.size(), 16u);
+    for (std::uint32_t row = 0; row < 16; ++row) {
+        EXPECT_EQ(rec.fired[row], row);
+        const std::vector<std::uint8_t> row_want(
+            want.begin() + row * 64, want.begin() + (row + 1) * 64);
+        EXPECT_EQ(read(dst + row * 3072, 64), row_want) << "row " << row;
+    }
+    EXPECT_TRUE(mover->idle());
+}
+
+/// A mover in front of an HBM2 controller, with its own simulator and
+/// store, for comparing two ways of submitting the same jobs.
+struct SmallHbmSystem {
+    Simulator sim;
+    mem::BackingStore store;
+    Recorder rec;
+    mem::MemCtrl ctrl;
+    DevMemMover mover;
+
+    explicit SmallHbmSystem(const DevMemMover::Params& p)
+        : ctrl(sim, "devmem", hbm_params(), range()),
+          mover(sim, "mover", p, range(), store)
+    {
+        mover.port().bind(ctrl.port());
+        std::vector<std::uint8_t> src(16 * 64);
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+        }
+        store.write(kScratch, src.data(), src.size());
+    }
+
+    static mem::AddrRange range()
+    {
+        return mem::AddrRange::with_size(MoverFixture::kDevBase, kGiB);
+    }
+    static mem::MemCtrlParams hbm_params()
+    {
+        mem::MemCtrlParams mp;
+        mp.dram = mem::dram_params_by_name("HBM2");
+        return mp;
+    }
+
+    std::string stats_dump()
+    {
+        std::ostringstream os;
+        sim.stats().write_text(os);
+        return os.str();
+    }
+};
+
+TEST(DevMemMoverBatch, StatsMatchSixteenSingleSubmits)
+{
+    // A narrow request window makes later rows wait for earlier responses.
+    DevMemMover::Params p;
+    p.max_outstanding = 4;
+    SmallHbmSystem batched(p);
+    SmallHbmSystem single(p);
+    const Addr dst = MoverFixture::kDevBase + 0x40000;
+
+    batched.mover.submit(strip_jobs(kScratch, dst, batched.rec));
+    for (const TransferJob& job : strip_jobs(kScratch, dst, single.rec)) {
+        single.mover.submit(job);
+    }
+    test::drain(batched.sim);
+    test::drain(single.sim);
+
+    EXPECT_EQ(batched.sim.now(), single.sim.now());
+    EXPECT_EQ(batched.rec.fired, single.rec.fired);
+    const std::string dump = batched.stats_dump();
+    EXPECT_NE(dump.find("mover.writes"), std::string::npos) << dump;
+    EXPECT_EQ(dump, single.stats_dump());
+}
+
+TEST_F(MoverFixture, RejectsAnOversizedBatch)
+{
+    build();
+    std::array<TransferJob, DataMover::kMaxBatch + 1> jobs;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i] = TransferJob{kDevBase + i * 64, kScratch + i * 64, 64, {}};
+    }
+    EXPECT_THROW(mover->submit(jobs), SimError);
+    EXPECT_TRUE(mover->idle());
 }
 
 } // namespace

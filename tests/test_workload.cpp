@@ -1,6 +1,8 @@
 // Tests for workload generation: GEMM golden model and ViT lowering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workload/gemm.hh"
 #include "workload/vit.hh"
 
@@ -122,6 +124,83 @@ TEST(GemmData, CheckCountsMismatches)
     const std::int32_t bad = golden[3] + 1;
     store.write_obj(0x300 + 3 * 4, bad);
     EXPECT_EQ(gemm_check(store, spec, 0x300, golden), 1u);
+}
+
+/// Golden C for an m x n GEMM whose values are all nonzero, so a run read
+/// from a chunk that was never written (zeros) shows as mismatches.
+std::vector<std::int32_t> nonzero_golden(const GemmSpec& spec)
+{
+    std::vector<std::int32_t> g(static_cast<std::size_t>(spec.m) * spec.n);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        g[i] = static_cast<std::int32_t>(i * 2654435761U) | 1;
+    }
+    return g;
+}
+
+TEST(GemmData, CheckReadsAcrossAChunkSeam)
+{
+    // C starts 4 B below a 64 KiB seam: its first element lies in one
+    // chunk, the rest in the next.
+    mem::BackingStore store;
+    const GemmSpec spec{64, 48, 8, 1};
+    const auto golden = nonzero_golden(spec);
+    const Addr c = mem::BackingStore::kChunkBytes - 4;
+    store.write(c, golden.data(), golden.size() * 4);
+    EXPECT_EQ(gemm_check(store, spec, c, golden), 0u);
+
+    // One corrupt element on each side of the seam.
+    store.write_obj(c, golden[0] + 1);
+    store.write_obj(c + 4, golden[1] - 1);
+    EXPECT_EQ(gemm_check(store, spec, c, golden), 2u);
+}
+
+TEST(GemmData, CheckReadsANeverWrittenChunkAsZero)
+{
+    // C covers three chunks; only the first and the last are written, so
+    // the middle one does not exist and every element in it reads as 0.
+    mem::BackingStore store;
+    const GemmSpec spec{3, 16 * kKiB, 1, 1};
+    const auto golden = nonzero_golden(spec);
+    const Addr c = 4 * mem::BackingStore::kChunkBytes;
+    const std::size_t row = 16 * kKiB;
+    store.write(c, golden.data(), row * 4);
+    store.write(c + 2 * row * 4, golden.data() + 2 * row, row * 4);
+    ASSERT_EQ(store.chunks_allocated(), 2u);
+    EXPECT_EQ(gemm_check(store, spec, c, golden), row);
+    EXPECT_EQ(store.chunks_allocated(), 2u); // checking allocates none
+
+    // A golden that is zero over the missing chunk matches it.
+    auto zero_mid = golden;
+    std::fill(zero_mid.begin() + row, zero_mid.begin() + 2 * row, 0);
+    EXPECT_EQ(gemm_check(store, spec, c, zero_mid), 0u);
+}
+
+TEST(GemmData, CheckCountsPlantedErrorsExactly)
+{
+    mem::BackingStore store;
+    const GemmSpec spec{96, 200, 8, 1};
+    const auto golden = nonzero_golden(spec);
+    const Addr c = 0x3000; // C spans a chunk seam
+    store.write(c, golden.data(), golden.size() * 4);
+    std::uint64_t planted = 0;
+    for (std::size_t i = 5; i < golden.size(); i += 997) {
+        store.write_obj(c + i * 4, golden[i] ^ 0x40);
+        ++planted;
+    }
+    ASSERT_GT(planted, 10u);
+    EXPECT_EQ(gemm_check(store, spec, c, golden), planted);
+}
+
+TEST(GemmData, CheckRejectsAGoldenOfTheWrongSize)
+{
+    mem::BackingStore store;
+    const GemmSpec spec{4, 4, 4, 1};
+    const std::vector<std::int32_t> c(16, 0);
+    store.write(0x100, c.data(), c.size() * 4);
+    std::vector<std::int32_t> golden(15, 0);
+    EXPECT_THROW((void)gemm_check(store, spec, 0x100, golden), SimError);
+    golden.resize(17);
+    EXPECT_THROW((void)gemm_check(store, spec, 0x100, golden), SimError);
 }
 
 TEST(VitConfig, PaperModels)
