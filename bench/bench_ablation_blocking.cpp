@@ -14,7 +14,8 @@ int main(int argc, char** argv)
 {
     benchutil::install_wall_watchdog(argc, argv);
     const bool quick = benchutil::quick_mode(argc, argv);
-    benchutil::header("bench_ablation_blocking", "DESIGN.md ablation",
+    benchutil::header("bench_ablation_blocking",
+                      "no paper artefact: an accelerator-model ablation",
                       "B-panel width (reuse) x PCIe bandwidth");
 
     const std::uint32_t size = quick ? 256 : 1024;

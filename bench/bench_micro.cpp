@@ -3,11 +3,12 @@
 // fill/evict churn, DRAM timing, TLB, PCIe link serialization and
 // credit-gated link throughput, the systolic-array functional strip, the
 // int8 GEMM kernel under it (MACs/s per path and shape), the operand
-// fill and the device-memory C-strip write-back. These guard the
-// simulator's own performance, which bounds how large a sweep the figure
-// benches can afford. tools/perf_gate.sh runs the event-queue,
-// packet-alloc, xbar, DRAM-stream, cache-fill and link-credit cases
-// against a base build on the same machine.
+// fill, a verified job's fill plus result check and the device-memory
+// C-strip write-back. These guard the simulator's own performance, which
+// bounds how large a sweep the figure benches can afford.
+// tools/perf_gate.sh runs the event-queue, packet-alloc, xbar, DRAM-stream,
+// cache-fill and link-credit cases against a base build on the same
+// machine.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -359,9 +360,10 @@ void bm_gemm_kernel(benchmark::State& state)
         benchmark::Counter::kIsRate);
 }
 // The shapes the benchmark workloads run: each device strip is 16 x 16 x k
-// (max_block_cols = 16), and each golden check is one m^3 call, m = 16, 32
-// and 48 for serving, 512 and 768 for the GEMM workloads. 16 x 768 x 768
-// is no workload's shape; it stays for comparison with earlier numbers.
+// (max_block_cols = 16); each check is one m^3 call for m = 16, 32 and 48
+// (serving) and 256-row blocks of m x m x m for m = 512 and 768 (the GEMM
+// workloads; bm_gemm_check times those). 16 x 768 x 768 is no workload's
+// shape; it stays for comparison with earlier numbers.
 BENCHMARK(bm_gemm_kernel)
     ->ArgNames({"m", "n", "k", "vnni"})
     ->ArgsProduct({{16}, {16}, {16, 32, 48, 512, 768}, {0, 1}})
@@ -397,6 +399,46 @@ BENCHMARK(bm_init_gemm_data)
     ->Arg(48)
     ->Arg(512)
     ->Arg(768);
+
+void bm_gemm_check(benchmark::State& state)
+{
+    // A verified GEMM job's host-side work at the GEMM workloads' shapes:
+    // the operand fill at dispatch, then the check of a correct C, which
+    // rebuilds the reference from the seed in 256-row blocks. The checker
+    // and the store persist across iterations, as in a Runner.
+    const auto m = static_cast<std::uint32_t>(state.range(0));
+    const workload::GemmSpec spec{m, m, m, 1};
+    mem::BackingStore store;
+    const Addr a = 0x1000;
+    const Addr bt = a + spec.a_bytes();
+    const Addr c = bt + spec.b_bytes();
+    workload::init_gemm_data(store, spec, a, bt);
+    std::vector<std::int8_t> av(spec.a_bytes());
+    std::vector<std::int8_t> btv(spec.b_bytes());
+    store.read(a, av.data(), av.size());
+    store.read(bt, btv.data(), btv.size());
+    std::vector<std::int32_t> ref(std::size_t{m} * m);
+    gemm_i8_nt(av.data(), btv.data(), ref.data(), m, m, m, m);
+    store.write(c, ref.data(), ref.size() * 4);
+    workload::GemmChecker checker;
+    for (auto _ : state) {
+        workload::init_gemm_data(store, spec, a, bt);
+        const std::uint64_t mismatches = checker.check(store, spec, c);
+        benchmark::DoNotOptimize(mismatches);
+        if (mismatches != 0) {
+            // C is correct, so a mismatch is a broken check; fail the
+            // process rather than time it.
+            std::fprintf(stderr, "bm_gemm_check: %llu mismatches at %u^3\n",
+                         static_cast<unsigned long long>(mismatches), m);
+            std::exit(3);
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["MACs/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * spec.macs(),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(bm_gemm_check)->ArgName("m")->Arg(512)->Arg(768);
 
 void bm_c_strip_writeback(benchmark::State& state)
 {

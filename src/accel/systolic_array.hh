@@ -6,8 +6,8 @@
 // (paper Fig. 2) sweeps.
 //
 // Function: exact int8 x int8 -> int32 GEMM on data staged in the global
-// BackingStore, so tests can bit-compare accelerator output against a golden
-// model and thereby validate the whole DMA path.
+// BackingStore, so tests can bit-compare accelerator output against a
+// reference and thereby validate the whole DMA path.
 #pragma once
 
 #include <cstdint>

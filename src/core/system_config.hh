@@ -109,9 +109,9 @@ struct ServingConfig {
     /// Queue depth at/above which ServingState reports `shedding`.
     /// 0 = 3 * queue_capacity / 4.
     std::size_t shed_watermark = 0;
-    /// Verify every completed job against the golden model (exercises the
-    /// full functional DMA path; the serving default because overload
-    /// must degrade throughput, never correctness).
+    /// Verify every completed job against a reference rebuilt from its
+    /// seed (exercises the full functional DMA path; the serving default
+    /// because overload must degrade throughput, never correctness).
     bool verify = true;
 
     [[nodiscard]] std::size_t throttle_mark() const

@@ -6,9 +6,11 @@
 // split into bursts by the caller (MemCtrl), either one at a time via
 // access() or as a whole consecutive run via access_run().
 //
-// This is the "ramulator2-like" substitute described in DESIGN.md: it
-// reproduces the first-order latency/bandwidth/row-locality differences
-// between DRAM technologies without cycle-accurate command scheduling.
+// It stands in for a cycle-accurate DRAM simulator such as Ramulator 2,
+// which the paper couples to gem5: it reproduces the first-order
+// latency/bandwidth/row-locality differences between DRAM technologies
+// without cycle-accurate command scheduling (no per-command bus conflicts,
+// tFAW/tRRD windows or power-down states).
 //
 // Hot-path structure: all timing parameters are converted to ticks once at
 // construction (no per-burst ns->tick FP math), address decode is shift/mask

@@ -8,8 +8,9 @@
 // release travels back with the propagation delay.
 //
 // The `tlp_overhead_bytes` parameter lumps TLP header, LCRC, sequence number
-// and framing symbols; DLLP (ack/fc) bandwidth is not modelled and is noted
-// as a simplification in DESIGN.md.
+// and framing symbols. DLLP (Ack/Nak and flow-control update) bandwidth is
+// not modelled: those packets are a few bytes each and take a small share
+// of the line rate, so absolute link throughput reads slightly high.
 //
 // Credit accounting is *lazy* by default: a released ingress buffer is
 // recorded with its return-arrival tick, but no event is scheduled unless

@@ -172,8 +172,11 @@ struct Tlp {
     }
 
     // --- functional data (MMIO register traffic only) ----------------------
-    // DMA data stays in the global BackingStore (see DESIGN.md on the
-    // timing/functional split); only small register values ride inline.
+    // Timing and function are split: a DMA TLP carries only its address
+    // and length, and DmaEngine copies its bytes from source to
+    // destination inside the one global BackingStore, so a large payload
+    // costs no host memory per packet. Only small MMIO register values
+    // ride inline.
     [[nodiscard]] bool has_data() const noexcept { return data_size_ != 0; }
     [[nodiscard]] const std::uint8_t* data() const noexcept
     {

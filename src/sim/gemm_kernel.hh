@@ -1,5 +1,5 @@
-// Exact int8 GEMM kernel shared by the golden model and the accelerator's
-// functional strips.
+// Exact int8 GEMM kernel shared by the result check (workload::GemmChecker)
+// and the accelerator's functional strips.
 //
 //   C[i][j] = sum_k A[i][k] * B_T[j][k]   (int8 inputs, int32 results)
 //

@@ -1,7 +1,9 @@
 // Core scalar types and time helpers shared by every accesys library.
 //
-// Conventions (see DESIGN.md):
-//   * 1 tick == 1 picosecond, carried in an unsigned 64-bit integer.
+// Conventions:
+//   * 1 tick == 1 picosecond, carried in an unsigned 64-bit integer:
+//     fine enough for GHz clock periods, and 2^64 ticks is ~213 days of
+//     simulated time.
 //   * Addresses are 64-bit byte addresses.
 #pragma once
 

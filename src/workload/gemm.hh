@@ -1,4 +1,4 @@
-// GEMM workload specification, data initialisation and golden model.
+// GEMM workload specification, data initialisation and result check.
 //
 // Operand layout matches the accelerator's expectations:
 //   A   : m x k int8, row-major
@@ -49,19 +49,35 @@ struct GemmSpec {
 void init_gemm_data(mem::BackingStore& store, const GemmSpec& spec,
                     Addr a_addr, Addr bt_addr);
 
-/// Reference result (row-major m x n int32) from one call of the shared
-/// int8 GEMM kernel. The accelerator's strips use the same kernel, so a
-/// match validates the data path (DMA, tiling, placement); the kernel's
-/// arithmetic is checked against a naive oracle in its own tests.
-[[nodiscard]] std::vector<std::int32_t> gemm_golden(
-    const mem::BackingStore& store, const GemmSpec& spec, Addr a_addr,
-    Addr bt_addr);
+/// Checks a GEMM's C against a reference rebuilt from `spec.seed`. A and
+/// B_T come from the stream init_gemm_data writes, not from the store, so
+/// an operand overwritten after it was filled shows as mismatches. The
+/// reference is computed kBlockRows rows at a time with the shared int8
+/// kernel (the one the accelerator's strips use, so a match validates the
+/// data path: DMA, tiling, placement) and compared with C where it lies;
+/// no m x n reference exists at any time. The buffers are kept for the
+/// next check: one no larger than an earlier one makes no heap allocation
+/// when C is 4-byte aligned and every chunk it covers exists.
+class GemmChecker {
+  public:
+    /// Rows of reference C per kernel call (a multiple of 8, so each
+    /// block of A starts at a whole draw of the operand stream).
+    static constexpr std::uint32_t kBlockRows = 256;
 
-/// Compare the accelerator's C against `golden` (m·n elements, checked)
-/// straight out of the store; returns the mismatch count. No heap
-/// allocation when C is 4-byte aligned and every chunk it covers exists.
+    /// Number of elements of the m x n int32 C at `c_addr` that differ
+    /// from the reference.
+    [[nodiscard]] std::uint64_t check(const mem::BackingStore& store,
+                                      const GemmSpec& spec, Addr c_addr);
+
+  private:
+    std::vector<std::int8_t> a_;      ///< one block of A
+    std::vector<std::int8_t> bt_;     ///< all of B_T
+    std::vector<std::int32_t> ref_;   ///< one block of reference C
+    std::vector<std::int32_t> staging_; ///< for BackingStore::view
+};
+
+/// One check through a fresh GemmChecker (its buffers are freed on return).
 [[nodiscard]] std::uint64_t gemm_check(const mem::BackingStore& store,
-                                       const GemmSpec& spec, Addr c_addr,
-                                       const std::vector<std::int32_t>& golden);
+                                       const GemmSpec& spec, Addr c_addr);
 
 } // namespace accesys::workload

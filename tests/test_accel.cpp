@@ -41,7 +41,7 @@ TEST(SystolicArray, PeakThroughput)
     EXPECT_DOUBLE_EQ(sa.peak_macs_per_sec(), 256e9);
 }
 
-TEST(SystolicArray, FunctionalStripMatchesGolden)
+TEST(SystolicArray, FunctionalStripMatchesReference)
 {
     mem::BackingStore store;
     const workload::GemmSpec spec{16, 16, 48, 99};
@@ -49,11 +49,10 @@ TEST(SystolicArray, FunctionalStripMatchesGolden)
     const Addr bt = 0x10000;
     const Addr c = 0x20000;
     workload::init_gemm_data(store, spec, a, bt);
-    const auto golden = workload::gemm_golden(store, spec, a, bt);
 
     SystolicArray sa{SystolicParams{}};
     sa.compute_strip(store, a, bt, c, 16, 16, 48, 16);
-    EXPECT_EQ(workload::gemm_check(store, spec, c, golden), 0u);
+    EXPECT_EQ(workload::gemm_check(store, spec, c), 0u);
 }
 
 TEST(SystolicArray, PartialStripRowsAndCols)
@@ -64,11 +63,10 @@ TEST(SystolicArray, PartialStripRowsAndCols)
     const Addr bt = 0x10000;
     const Addr c = 0x20000;
     workload::init_gemm_data(store, spec, a, bt);
-    const auto golden = workload::gemm_golden(store, spec, a, bt);
 
     SystolicArray sa{SystolicParams{}};
     sa.compute_strip(store, a, bt, c, 5, 7, 32, 7);
-    EXPECT_EQ(workload::gemm_check(store, spec, c, golden), 0u);
+    EXPECT_EQ(workload::gemm_check(store, spec, c), 0u);
 }
 
 TEST(SystolicArray, StripWithWideCStrideLeavesPaddingUntouched)
@@ -80,7 +78,7 @@ TEST(SystolicArray, StripWithWideCStrideLeavesPaddingUntouched)
     const Addr bt = 0x10000;
     const Addr c = 0x20000;
     workload::init_gemm_data(store, spec, a, bt);
-    const auto golden = workload::gemm_golden(store, spec, a, bt);
+    const auto ref = test::reference_c(store, spec, a, bt);
     const std::vector<std::int32_t> sentinel(spec.m * stride, -7);
     store.write(c, sentinel.data(), sentinel.size() * 4);
 
@@ -91,17 +89,17 @@ TEST(SystolicArray, StripWithWideCStrideLeavesPaddingUntouched)
     for (std::uint32_t r = 0; r < spec.m; ++r) {
         for (std::uint32_t col = 0; col < stride; ++col) {
             const std::int32_t want =
-                col < spec.n ? golden[r * spec.n + col] : -7;
+                col < spec.n ? ref[r * spec.n + col] : -7;
             EXPECT_EQ(out[r * stride + col], want) << r << "," << col;
         }
     }
 }
 
-TEST(SystolicArray, StripsStraddlingChunksMatchGolden)
+TEST(SystolicArray, StripsStraddlingChunksMatchReference)
 {
     // The same array computes one strip whose A, B and C all cross a
     // chunk boundary (staged) and then one that lies inside chunks (in
-    // place); both must match the golden model and keep C's padding.
+    // place); both must match the reference and keep C's padding.
     const workload::GemmSpec spec{16, 12, 200, 5};
     const std::uint32_t stride = 20;
     constexpr Addr kChunk = mem::BackingStore::kChunkBytes;
@@ -112,7 +110,7 @@ TEST(SystolicArray, StripsStraddlingChunksMatchGolden)
         const Addr bt = base + kChunk;
         const Addr c = base + 2 * kChunk + 400;
         workload::init_gemm_data(store, spec, a, bt);
-        const auto golden = workload::gemm_golden(store, spec, a, bt);
+        const auto ref = test::reference_c(store, spec, a, bt);
         const std::vector<std::int32_t> sentinel(spec.m * stride, -7);
         store.write(c, sentinel.data(), sentinel.size() * 4);
 
@@ -122,7 +120,7 @@ TEST(SystolicArray, StripsStraddlingChunksMatchGolden)
         for (std::uint32_t r = 0; r < spec.m; ++r) {
             for (std::uint32_t col = 0; col < stride; ++col) {
                 const std::int32_t want =
-                    col < spec.n ? golden[r * spec.n + col] : -7;
+                    col < spec.n ? ref[r * spec.n + col] : -7;
                 ASSERT_EQ(out[r * stride + col], want)
                     << base << ": " << r << "," << col;
             }

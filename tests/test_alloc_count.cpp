@@ -2,10 +2,11 @@
 // job, response or strip, or a host-placement DMA job and its chunks — must
 // run without touching the heap once its rings and pools have grown to the
 // working set, so the allocation count of a whole GEMM must not grow with
-// the matrix size. Filling a GEMM's operands into existing memory, checking
-// its C against the golden, and a steady-state batch submit to either data
-// mover must not allocate at all. This binary replaces the global operator
-// new with a counting one to check that.
+// the matrix size. Filling a GEMM's operands into existing memory, a check
+// of its C through a checker that has already checked a shape as large,
+// and a steady-state batch submit to either data mover must not allocate
+// at all, and serve() must not allocate per verified job. This binary
+// replaces the global operator new with a counting one to check that.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,7 +17,9 @@
 #include "accel/data_mover.hh"
 #include "core/runner.hh"
 #include "mem/mem_ctrl.hh"
+#include "test_util.hh"
 #include "workload/gemm.hh"
+#include "workload/request_gen.hh"
 
 namespace {
 std::uint64_t g_allocs = 0; // the simulator is single-threaded
@@ -31,7 +34,20 @@ void* operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
+// The nothrow form too (std::stable_sort's temporary buffer uses it), so
+// every form the library may pair with the deletes below is malloc-backed.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    ++g_allocs;
+    return std::malloc(n == 0 ? 1 : n);
+}
+
 void operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
@@ -89,22 +105,87 @@ TEST(GemmInit, NoHeapAllocationIntoExistingChunks)
     EXPECT_EQ(g_allocs - before, 0u);
 }
 
-TEST(GemmCheck, NoHeapAllocationOverWrittenChunks)
+TEST(GemmCheck, ReusedCheckerDoesNotAllocate)
 {
-    // C starts 4 B below a chunk seam and covers three chunks, all written.
-    const workload::GemmSpec spec{96, 512, 8, 1};
-    std::vector<std::int32_t> golden(std::size_t{spec.m} * spec.n);
-    for (std::size_t i = 0; i < golden.size(); ++i) {
-        golden[i] = static_cast<std::int32_t>(i * 40503U);
-    }
+    // C starts 4 B below a chunk seam and covers three chunks, all
+    // written. The first check grows the checker's buffers; a second of
+    // the same shape and one of a smaller shape must allocate nothing.
+    const workload::GemmSpec spec{300, 512, 24, 1};
+    const workload::GemmSpec small{40, 300, 16, 2};
     const Addr c = mem::BackingStore::kChunkBytes - 4;
+    const Addr c_small = 16 * mem::BackingStore::kChunkBytes;
     mem::BackingStore store;
-    store.write(c, golden.data(), golden.size() * 4);
+    const auto ref = test::reference_c(spec);
+    const auto ref_small = test::reference_c(small);
+    store.write(c, ref.data(), ref.size() * 4);
+    store.write(c_small, ref_small.data(), ref_small.size() * 4);
+    workload::GemmChecker checker;
+    ASSERT_EQ(checker.check(store, spec, c), 0u);
+
     const std::uint64_t before = g_allocs;
-    const std::uint64_t mismatches =
-        workload::gemm_check(store, spec, c, golden);
+    const std::uint64_t same = checker.check(store, spec, c);
+    const std::uint64_t smaller = checker.check(store, small, c_small);
     EXPECT_EQ(g_allocs - before, 0u);
-    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(same, 0u);
+    EXPECT_EQ(smaller, 0u);
+}
+
+/// Allocations inside one serve() of an overloaded two-tenant Poisson
+/// schedule on a fresh 4-endpoint system; `completed` gets the jobs done.
+std::uint64_t serve_allocs(bool verify, std::uint64_t& completed)
+{
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    core::System sys(cfg);
+    workload::RequestGenConfig g;
+    g.seed = 5;
+    g.horizon_ns = 1e6;
+    workload::TenantSpec interactive;
+    interactive.name = "interactive";
+    interactive.rate_jobs_per_s = 4e5;
+    interactive.mix = {workload::GemmSpec{16, 16, 16},
+                       workload::GemmSpec{32, 32, 32}};
+    workload::TenantSpec batch;
+    batch.name = "batch";
+    batch.rate_jobs_per_s = 2e5;
+    batch.mix = {workload::GemmSpec{48, 48, 48}};
+    g.tenants.push_back(interactive);
+    g.tenants.push_back(batch);
+    workload::RequestGen gen(sys.sim(), g);
+    core::ServingConfig scfg;
+    scfg.policy = core::ShedPolicy::shed_oldest;
+    scfg.queue_capacity = 8;
+    scfg.verify = verify;
+    core::Runner runner(sys);
+    const std::uint64_t before = g_allocs;
+    const core::ServingResult res = runner.serve(gen, scfg);
+    const std::uint64_t allocs = g_allocs - before;
+    completed = res.completed;
+    if (verify) {
+        for (const core::ServedJob& j : res.jobs) {
+            EXPECT_TRUE(!j.ok() || j.verified) << "job " << j.id;
+        }
+    }
+    return allocs;
+}
+
+TEST(ServeVerification, NoPerJobAllocation)
+{
+    // The same schedule served with and without verification runs the
+    // same rounds, so the difference is what verifying costs: a checker
+    // that grows to the largest shape once, not a buffer per job. A first
+    // serve grows the process-wide pools, so neither measured run does.
+    std::uint64_t completed = 0;
+    std::uint64_t plain_completed = 0;
+    (void)serve_allocs(true, completed);
+    const std::uint64_t verified = serve_allocs(true, completed);
+    const std::uint64_t plain = serve_allocs(false, plain_completed);
+    ::testing::Test::RecordProperty("allocs_verified",
+                                    static_cast<int>(verified));
+    ::testing::Test::RecordProperty("allocs_plain", static_cast<int>(plain));
+    ASSERT_EQ(completed, plain_completed);
+    ASSERT_GT(completed, 150u);
+    EXPECT_LT(verified, plain + 16) << completed << " jobs completed";
 }
 
 /// One C strip: 16 rows of 64 B from staging at `src` to a 3 KiB stride at

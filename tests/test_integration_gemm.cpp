@@ -1,11 +1,13 @@
 // Integration tests: verified GEMM offloads through the full system
 // (driver -> doorbell -> descriptor DMA -> SMMU -> PCIe -> systolic array
 // -> C writeback -> completion flag), across placements, access modes and
-// packet sizes. Every run bit-compares the accelerator's output against the
-// golden model, which validates the complete functional DMA path.
+// packet sizes. Every run bit-compares the accelerator's output against a
+// reference rebuilt from the job's seed, which validates the complete
+// functional DMA path.
 #include <gtest/gtest.h>
 
 #include "core/runner.hh"
+#include "sim/random.hh"
 
 namespace accesys::core {
 namespace {
@@ -48,6 +50,38 @@ TEST(IntegrationGemm, TinyDegenerateShapes)
     const auto res = run_one(SystemConfig::paper_default(),
                              GemmSpec{1, 1, 1, 5}, Placement::host);
     EXPECT_TRUE(res.verified);
+}
+
+TEST(IntegrationGemm, OperandOverwrittenAfterDispatchFailsVerification)
+{
+    // The check rebuilds the operands from the spec's seed, so a byte of A
+    // changed in memory between dispatch() and the run shows up: the
+    // device computes with the changed byte, the reference does not.
+    for (const Placement place : {Placement::host, Placement::devmem}) {
+        auto cfg = SystemConfig::paper_default();
+        if (place == Placement::devmem) {
+            cfg.set_devmem("HBM2");
+        }
+        System sys(cfg);
+        Runner runner(sys);
+        const GemmSpec spec{48, 40, 64, 21};
+        // A is dispatch()'s first allocation: the page after this probe.
+        const Addr a = sys.alloc_on(0, place, 1) + 4096;
+        runner.dispatch(0, spec, place, /*verify=*/true);
+        Rng rng(spec.seed);
+        const std::uint64_t first_draw = rng.next();
+        ASSERT_EQ(sys.store().read_obj<std::uint64_t>(a), first_draw)
+            << "A is not where the probe says";
+        const Addr victim = a + 5 * spec.k + 3; // row 5, column 3
+        sys.store().write_obj<std::uint8_t>(
+            victim, sys.store().read_obj<std::uint8_t>(victim) ^ 0x5A);
+        const MultiGemmResult res = runner.run_dispatched();
+        ASSERT_EQ(res.devices[0].status, JobStatus::ok);
+        EXPECT_FALSE(res.devices[0].verified);
+        // Row 5 of C changes wherever B_T's column 3 byte is nonzero.
+        EXPECT_GT(res.devices[0].mismatches, 0u);
+        EXPECT_LE(res.devices[0].mismatches, spec.n);
+    }
 }
 
 TEST(IntegrationGemm, DmModeBypassesCachesAndVerifies)

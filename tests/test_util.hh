@@ -6,9 +6,12 @@
 #include <deque>
 #include <vector>
 
+#include "mem/backing_store.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
+#include "sim/gemm_kernel.hh"
 #include "sim/simulator.hh"
+#include "workload/gemm.hh"
 
 namespace accesys::test {
 
@@ -91,6 +94,31 @@ class MockResponder : public mem::Responder {
     mem::ResponsePort port_;
     unsigned refuse_next_ = 0;
 };
+
+/// Reference C (m x n int32, row-major) of the operands at `a` and `bt` in
+/// `store`, from the shared int8 kernel: the oracle tests write or compare
+/// against.
+inline std::vector<std::int32_t> reference_c(const mem::BackingStore& store,
+                                             const workload::GemmSpec& spec,
+                                             Addr a, Addr bt)
+{
+    std::vector<std::int8_t> av(spec.a_bytes());
+    std::vector<std::int8_t> btv(spec.b_bytes());
+    store.read(a, av.data(), av.size());
+    store.read(bt, btv.data(), btv.size());
+    std::vector<std::int32_t> c(std::size_t{spec.m} * spec.n);
+    gemm_i8_nt(av.data(), btv.data(), c.data(), spec.m, spec.n, spec.k,
+               spec.n);
+    return c;
+}
+
+/// Reference C of the operands init_gemm_data writes for `spec`.
+inline std::vector<std::int32_t> reference_c(const workload::GemmSpec& spec)
+{
+    mem::BackingStore store;
+    workload::init_gemm_data(store, spec, 0, spec.a_bytes());
+    return reference_c(store, spec, 0, spec.a_bytes());
+}
 
 /// Run the simulator until drained, asserting it terminates.
 inline void drain(Simulator& sim, Tick horizon = 100 * kTicksPerMs)

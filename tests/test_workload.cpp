@@ -1,5 +1,6 @@
-// Tests for workload generation: GEMM golden model and ViT lowering.
-#include <gtest/gtest.h>
+// Tests for workload generation: GEMM operands, the result check and ViT
+// lowering.
+#include "test_util.hh"
 
 #include <algorithm>
 
@@ -91,50 +92,30 @@ TEST(GemmData, OperandStreamLargerThanFillBlock)
     expect_operand_stream(GemmSpec{61, 67, 131, 5}, 0x3003, 0x50005);
 }
 
-TEST(GemmData, GoldenIdentityProperty)
-{
-    // A x I = A (with B transposed = I as well).
-    mem::BackingStore store;
-    const GemmSpec spec{4, 4, 4, 1};
-    std::int8_t a[16];
-    std::int8_t eye[16] = {};
-    for (int i = 0; i < 16; ++i) {
-        a[i] = static_cast<std::int8_t>(i + 1);
-    }
-    for (int i = 0; i < 4; ++i) {
-        eye[i * 4 + i] = 1;
-    }
-    store.write(0x100, a, sizeof(a));
-    store.write(0x200, eye, sizeof(eye));
-    const auto golden = gemm_golden(store, spec, 0x100, 0x200);
-    for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(golden[i], a[i]);
-    }
-}
-
 TEST(GemmData, CheckCountsMismatches)
 {
     mem::BackingStore store;
     const GemmSpec spec{2, 2, 2, 3};
-    init_gemm_data(store, spec, 0x100, 0x200);
-    auto golden = gemm_golden(store, spec, 0x100, 0x200);
-    // Write the golden result, then corrupt one element.
-    store.write(0x300, golden.data(), golden.size() * 4);
-    EXPECT_EQ(gemm_check(store, spec, 0x300, golden), 0u);
-    const std::int32_t bad = golden[3] + 1;
-    store.write_obj(0x300 + 3 * 4, bad);
-    EXPECT_EQ(gemm_check(store, spec, 0x300, golden), 1u);
+    const auto ref = test::reference_c(spec);
+    // Write the reference result, then corrupt one element.
+    store.write(0x300, ref.data(), ref.size() * 4);
+    EXPECT_EQ(gemm_check(store, spec, 0x300), 0u);
+    store.write_obj(0x300 + 3 * 4, ref[3] + 1);
+    EXPECT_EQ(gemm_check(store, spec, 0x300), 1u);
 }
 
-/// Golden C for an m x n GEMM whose values are all nonzero, so a run read
-/// from a chunk that was never written (zeros) shows as mismatches.
-std::vector<std::int32_t> nonzero_golden(const GemmSpec& spec)
+TEST(GemmData, CheckRebuildsTheOperandsFromTheSeed)
 {
-    std::vector<std::int32_t> g(static_cast<std::size_t>(spec.m) * spec.n);
-    for (std::size_t i = 0; i < g.size(); ++i) {
-        g[i] = static_cast<std::int32_t>(i * 2654435761U) | 1;
-    }
-    return g;
+    // The check reads only C: operands filled elsewhere, or not at all,
+    // change nothing, and C from another seed fails.
+    mem::BackingStore store;
+    const GemmSpec spec{24, 40, 56, 17};
+    const auto ref = test::reference_c(spec);
+    store.write(0x40000, ref.data(), ref.size() * 4);
+    EXPECT_EQ(gemm_check(store, spec, 0x40000), 0u);
+    GemmSpec other = spec;
+    other.seed = 18;
+    EXPECT_GT(gemm_check(store, other, 0x40000), ref.size() / 2);
 }
 
 TEST(GemmData, CheckReadsAcrossAChunkSeam)
@@ -143,64 +124,79 @@ TEST(GemmData, CheckReadsAcrossAChunkSeam)
     // chunk, the rest in the next.
     mem::BackingStore store;
     const GemmSpec spec{64, 48, 8, 1};
-    const auto golden = nonzero_golden(spec);
+    const auto ref = test::reference_c(spec);
     const Addr c = mem::BackingStore::kChunkBytes - 4;
-    store.write(c, golden.data(), golden.size() * 4);
-    EXPECT_EQ(gemm_check(store, spec, c, golden), 0u);
+    store.write(c, ref.data(), ref.size() * 4);
+    EXPECT_EQ(gemm_check(store, spec, c), 0u);
 
     // One corrupt element on each side of the seam.
-    store.write_obj(c, golden[0] + 1);
-    store.write_obj(c + 4, golden[1] - 1);
-    EXPECT_EQ(gemm_check(store, spec, c, golden), 2u);
+    store.write_obj(c, ref[0] + 1);
+    store.write_obj(c + 4, ref[1] - 1);
+    EXPECT_EQ(gemm_check(store, spec, c), 2u);
 }
 
 TEST(GemmData, CheckReadsANeverWrittenChunkAsZero)
 {
     // C covers three chunks; only the first and the last are written, so
-    // the middle one does not exist and every element in it reads as 0.
+    // the middle one does not exist and every element in it reads as 0:
+    // exactly the nonzero reference elements there mismatch.
     mem::BackingStore store;
     const GemmSpec spec{3, 16 * kKiB, 1, 1};
-    const auto golden = nonzero_golden(spec);
+    const auto ref = test::reference_c(spec);
     const Addr c = 4 * mem::BackingStore::kChunkBytes;
     const std::size_t row = 16 * kKiB;
-    store.write(c, golden.data(), row * 4);
-    store.write(c + 2 * row * 4, golden.data() + 2 * row, row * 4);
+    store.write(c, ref.data(), row * 4);
+    store.write(c + 2 * row * 4, ref.data() + 2 * row, row * 4);
     ASSERT_EQ(store.chunks_allocated(), 2u);
-    EXPECT_EQ(gemm_check(store, spec, c, golden), row);
+    const auto mid = ref.begin() + static_cast<std::ptrdiff_t>(row);
+    const auto nonzero = static_cast<std::uint64_t>(
+        std::count_if(mid, mid + static_cast<std::ptrdiff_t>(row),
+                      [](std::int32_t v) { return v != 0; }));
+    // k = 1: a zero B_T byte makes a zero in every row, so some of the
+    // middle row matches the zeros and most of it does not.
+    ASSERT_GT(nonzero, row / 2);
+    ASSERT_LT(nonzero, row);
+    EXPECT_EQ(gemm_check(store, spec, c), nonzero);
     EXPECT_EQ(store.chunks_allocated(), 2u); // checking allocates none
-
-    // A golden that is zero over the missing chunk matches it.
-    auto zero_mid = golden;
-    std::fill(zero_mid.begin() + row, zero_mid.begin() + 2 * row, 0);
-    EXPECT_EQ(gemm_check(store, spec, c, zero_mid), 0u);
 }
 
 TEST(GemmData, CheckCountsPlantedErrorsExactly)
 {
     mem::BackingStore store;
     const GemmSpec spec{96, 200, 8, 1};
-    const auto golden = nonzero_golden(spec);
+    const auto ref = test::reference_c(spec);
     const Addr c = 0x3000; // C spans a chunk seam
-    store.write(c, golden.data(), golden.size() * 4);
+    store.write(c, ref.data(), ref.size() * 4);
     std::uint64_t planted = 0;
-    for (std::size_t i = 5; i < golden.size(); i += 997) {
-        store.write_obj(c + i * 4, golden[i] ^ 0x40);
+    for (std::size_t i = 5; i < ref.size(); i += 997) {
+        store.write_obj(c + i * 4, ref[i] ^ 0x40);
         ++planted;
     }
     ASSERT_GT(planted, 10u);
-    EXPECT_EQ(gemm_check(store, spec, c, golden), planted);
+    EXPECT_EQ(gemm_check(store, spec, c), planted);
 }
 
-TEST(GemmData, CheckRejectsAGoldenOfTheWrongSize)
+TEST(GemmData, CheckCoversEveryRowBlock)
 {
-    mem::BackingStore store;
-    const GemmSpec spec{4, 4, 4, 1};
-    const std::vector<std::int32_t> c(16, 0);
-    store.write(0x100, c.data(), c.size() * 4);
-    std::vector<std::int32_t> golden(15, 0);
-    EXPECT_THROW((void)gemm_check(store, spec, 0x100, golden), SimError);
-    golden.resize(17);
-    EXPECT_THROW((void)gemm_check(store, spec, 0x100, golden), SimError);
+    // 1x1x1, one row past a whole block, and two blocks plus a partial
+    // one with an odd k (A's last draw is partly used). An error in the
+    // first and in the last row is found in each, through one checker
+    // reused across shapes, larger and smaller.
+    constexpr std::uint32_t kBlock = GemmChecker::kBlockRows;
+    GemmChecker checker;
+    for (const GemmSpec spec :
+         {GemmSpec{kBlock + 1, 24, 40, 2}, GemmSpec{1, 1, 1, 5},
+          GemmSpec{2 * kBlock + 3, 17, 13, 9}, GemmSpec{kBlock + 1, 24, 40, 2}}) {
+        mem::BackingStore store;
+        const auto ref = test::reference_c(spec);
+        const Addr c = 0x10000 - 64;
+        store.write(c, ref.data(), ref.size() * 4);
+        EXPECT_EQ(checker.check(store, spec, c), 0u) << spec.m;
+        store.write_obj(c, ref.front() + 1);
+        store.write_obj(c + (ref.size() - 1) * 4, ref.back() - 1);
+        EXPECT_EQ(checker.check(store, spec, c), ref.size() > 1 ? 2u : 1u)
+            << spec.m;
+    }
 }
 
 TEST(VitConfig, PaperModels)
