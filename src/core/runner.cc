@@ -378,16 +378,6 @@ MultiGemmResult Runner::run_dispatched()
     return res;
 }
 
-void Runner::restore_dispatched(const std::string& path)
-{
-    ensure(!pending_.empty(), "restore_dispatched with nothing dispatched");
-    restore_ = path;
-    const FaultPlan plan = begin_rounds(false);
-    stage_round(plan.job_timeout_ns, nullptr);
-    sys_->sim().restore(std::exchange(restore_, {}));
-    pending_.clear();
-}
-
 ServingResult Runner::serve(workload::RequestGen& gen,
                             const ServingConfig& scfg)
 {

@@ -319,16 +319,6 @@ class Runner {
     /// the stats registry — the bit-identity contract — is restored.
     void set_restore_path(std::string path) { restore_ = std::move(path); }
 
-    /// Restore checkpoint `path` into the fresh System *without* running
-    /// it: re-stages the snapshot's in-flight round through the same
-    /// engine as run_dispatched() (the CPU's restored pc must land inside
-    /// an identical program) and then loads the snapshot. For tooling that
-    /// measures or inspects restored state only — nothing evaluates the
-    /// round, so resume a run through set_restore_path() + run_dispatched()
-    /// instead. The staged program refers to this Runner, which must
-    /// outlive any later run of the System. Clears the dispatch list.
-    void restore_dispatched(const std::string& path);
-
   private:
     struct PendingGemm {
         std::size_t device = 0;

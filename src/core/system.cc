@@ -49,7 +49,6 @@ std::uint64_t config_hash(const SystemConfig& cfg)
     std::uint64_t h = kFnvBasis;
     h = fnv1a64(h, cfg.host_dram_bytes);
     h = fnv1a64(h, static_cast<std::uint64_t>(cfg.access_mode));
-    h = fnv1a64(h, cfg.host_simple ? 1 : 0);
     h = fnv1a64(h, dbits(cfg.cpu.freq_ghz));
     h = fnv1a64(h, cfg.cpu.mem_window);
     h = fnv1a64(h, cfg.cpu.line_bytes);
@@ -211,15 +210,9 @@ void System::build()
     // --- LLC + host memory (memory-side cache) -------------------------------
     llc_ = std::make_unique<cache::Cache>(sim_, "llc", cfg_.llc);
     membus_->add_downstream("llc_side", host).bind(llc_->cpu_side());
-    if (cfg_.host_simple) {
-        host_simple_mem_ = std::make_unique<mem::SimpleMem>(
-            sim_, "hostmem", cfg_.host_simple_mem, host);
-        llc_->mem_side().bind(host_simple_mem_->port());
-    } else {
-        host_mem_ = std::make_unique<mem::MemCtrl>(sim_, "hostmem",
-                                                   cfg_.host_mem, host);
-        llc_->mem_side().bind(host_mem_->port());
-    }
+    host_mem_ =
+        std::make_unique<mem::MemCtrl>(sim_, "hostmem", cfg_.host_mem, host);
+    llc_->mem_side().bind(host_mem_->port());
 
     // --- inbound DMA path: RC -> SMMU -> IOCache -> MemBus --------------------
     iocache_ = std::make_unique<cache::Cache>(sim_, "iocache", cfg_.iocache);

@@ -138,7 +138,6 @@ class System {
     std::unique_ptr<cache::Cache> llc_;
     std::unique_ptr<cache::Cache> iocache_;
     std::unique_ptr<mem::MemCtrl> host_mem_;
-    std::unique_ptr<mem::SimpleMem> host_simple_mem_;
     std::unique_ptr<smmu::Smmu> smmu_;
     std::unique_ptr<pcie::RootComplex> rc_;
     Topology topo_; ///< switch tree, endpoints and their device memory

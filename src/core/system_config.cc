@@ -110,7 +110,6 @@ void SystemConfig::set_pcie_target_gbps(double gbps, unsigned lanes,
 void SystemConfig::set_host_dram(const std::string& preset)
 {
     host_mem.dram = mem::dram_params_by_name(preset);
-    host_simple = false;
 }
 
 void SystemConfig::set_devmem(const std::string& preset)

@@ -137,8 +137,6 @@ struct SystemConfig {
 
     // --- host memory ----------------------------------------------------------
     mem::MemCtrlParams host_mem;
-    bool host_simple = false; ///< use SimpleMem instead of the DRAM model
-    mem::SimpleMemParams host_simple_mem;
     std::uint64_t host_dram_bytes = 4 * kGiB;
 
     // --- fabric ---------------------------------------------------------------

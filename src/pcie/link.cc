@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/env_flags.hh"
 #include "sim/serialize.hh"
 
 namespace accesys::pcie {
@@ -88,7 +87,6 @@ PcieLink::PcieLink(Simulator& sim, std::string name, const LinkParams& params)
     : SimObject(sim, std::move(name)), params_(params)
 {
     params_.validate();
-    eager_credits_ = env_flags().eager_credits;
     ser_ps_per_byte_ = 1000.0 / params_.effective_gbps();
     prop_ticks_ = ticks_from_ns(params_.propagation_delay_ns);
     for (unsigned side = 0; side < 2; ++side) {
@@ -208,7 +206,7 @@ void PcieLink::synthesize_credits(unsigned side, unsigned hdr,
     // back to the transmit side (the receiver will never release them).
     Direction& d = dirs_[side];
     d.credit_returns.push_back(CreditReturn{now(), hdr, data});
-    if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
+    if (d.tx_starved && !d.credit_event.scheduled()) {
         eq().schedule(d.credit_event, now());
     }
 }
@@ -551,38 +549,38 @@ void PcieLink::queue_credit_return(unsigned to_side, unsigned hdr,
     d.credit_returns.push_back(CreditReturn{arrival, hdr, data});
     // Lazy accounting: an unstarved transmitter harvests this return the
     // next time it probes can_send(); only a starved one needs the event.
-    if ((eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
+    if (d.tx_starved && !d.credit_event.scheduled()) {
         eq().schedule(d.credit_event, arrival);
     }
 }
 
-void PcieLink::harvest_credits(unsigned side)
+bool PcieLink::harvest_credits(unsigned side)
 {
     Direction& d = dirs_[side];
+    PciePort& p = ports_[side];
+    bool granted = false;
     while (!d.credit_returns.empty() &&
            d.credit_returns.front().arrival <= now()) {
-        const CreditReturn cr = d.credit_returns.front();
-        d.credit_returns.pop_front();
-        ports_[side].tx_hdr_credits_ += cr.hdr;
-        ports_[side].tx_data_credits_ += cr.data;
+        const CreditReturn cr = d.credit_returns.take_front();
+        p.tx_hdr_credits_ += cr.hdr;
+        p.tx_data_credits_ += cr.data;
+        granted = true;
     }
     if (fault_ != nullptr) {
         // A retrain re-arms full credits; a straggling release from the
         // pre-down world must not push the balance past the advertised
         // buffer.
-        ports_[side].tx_hdr_credits_ =
-            std::min(ports_[side].tx_hdr_credits_, params_.hdr_credits);
-        ports_[side].tx_data_credits_ = std::min(
-            ports_[side].tx_data_credits_, params_.data_credit_bytes);
+        p.tx_hdr_credits_ = std::min(p.tx_hdr_credits_, params_.hdr_credits);
+        p.tx_data_credits_ =
+            std::min(p.tx_data_credits_, params_.data_credit_bytes);
     }
+    return granted;
 }
 
 bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
 {
     PciePort& p = ports_[side];
-    if (!eager_credits_) {
-        harvest_credits(side);
-    }
+    harvest_credits(side);
     if (fault_ != nullptr) {
         FaultDir& f = fault_->dir[side];
         harvest_acks(side); // frees ACKed replay entries (and serves NAKs)
@@ -604,15 +602,12 @@ bool PcieLink::can_send_from(unsigned side, const Tlp& tlp)
         p.tx_data_credits_ >= tlp.payload_bytes()) {
         return true;
     }
-    if (!eager_credits_) {
-        // Starved: arm the kick at the earliest in-flight return — the
-        // same tick the eager model's credit event would have fired.
-        Direction& d = dirs_[side];
-        d.tx_starved = true;
-        if (!d.credit_returns.empty() && !d.credit_event.scheduled()) {
-            eq().schedule(d.credit_event,
-                                  d.credit_returns.front().arrival);
-        }
+    // Starved: arm the kick at the earliest in-flight return, the first
+    // tick at which this probe could succeed.
+    Direction& d = dirs_[side];
+    d.tx_starved = true;
+    if (!d.credit_returns.empty() && !d.credit_event.scheduled()) {
+        eq().schedule(d.credit_event, d.credit_returns.front().arrival);
     }
     return false;
 }
@@ -621,21 +616,7 @@ void PcieLink::credit(unsigned dir)
 {
     Direction& d = dirs_[dir];
     const bool was_starved = d.tx_starved;
-    bool granted = false;
-    while (!d.credit_returns.empty() &&
-           d.credit_returns.front().arrival <= now()) {
-        const CreditReturn cr = d.credit_returns.front();
-        d.credit_returns.pop_front();
-        ports_[dir].tx_hdr_credits_ += cr.hdr;
-        ports_[dir].tx_data_credits_ += cr.data;
-        granted = true;
-    }
-    if (fault_ != nullptr) {
-        ports_[dir].tx_hdr_credits_ =
-            std::min(ports_[dir].tx_hdr_credits_, params_.hdr_credits);
-        ports_[dir].tx_data_credits_ = std::min(
-            ports_[dir].tx_data_credits_, params_.data_credit_bytes);
-    }
+    const bool granted = harvest_credits(dir);
     // Clear before the kick: a still-starved sender's can_send() probe
     // inside credit_avail() re-arms the next pending arrival. The kick
     // also fires when this event granted nothing but the direction was
@@ -648,10 +629,9 @@ void PcieLink::credit(unsigned dir)
         ensure(tx.node_ != nullptr, name(), ": unattached PCIe port");
         tx.node_->credit_avail(tx.node_port_idx_);
     }
-    if (!d.credit_returns.empty() &&
-        (eager_credits_ || d.tx_starved) && !d.credit_event.scheduled()) {
-        eq().schedule(d.credit_event,
-                              d.credit_returns.front().arrival);
+    if (!d.credit_returns.empty() && d.tx_starved &&
+        !d.credit_event.scheduled()) {
+        eq().schedule(d.credit_event, d.credit_returns.front().arrival);
     }
 }
 

@@ -12,16 +12,16 @@
 // not modelled: those packets are a few bytes each and take a small share
 // of the line rate, so absolute link throughput reads slightly high.
 //
-// Credit accounting is *lazy* by default: a released ingress buffer is
-// recorded with its return-arrival tick, but no event is scheduled unless
-// the transmit side is actually starved (a can_send() probe failed). An
-// unstarved sender simply harvests every matured return the next time it
-// probes, so uncongested links carry zero credit events per TLP. When a
-// probe fails, the pending kick is scheduled for the earliest in-flight
-// return's arrival — the exact tick the eager model would have delivered
-// its credit_avail() — so results are bit-identical by contract (locked by
-// test_pool_determinism). ACCESYS_EAGER_CREDITS=1 (read at link
-// construction) restores the per-return event as an escape hatch.
+// Credit accounting is lazy: a released ingress buffer is recorded with its
+// return-arrival tick, and the transmit side harvests every matured return
+// the next time it probes can_send(). No event is scheduled per return, so
+// uncongested links carry zero credit events per TLP. Only a failed probe
+// marks the direction starved and schedules one credit event at the
+// earliest in-flight return's arrival; that event harvests and kicks the
+// starved node's credit_avail(). test_pcie_link's randomized reference
+// model (LinkCreditRandomized) locks both halves: the balance a probe sees
+// is the advertised buffer minus sends plus matured returns, and the kick
+// reaches a starved sender at the first tick its head TLP fits.
 // Fault model (active only when a FaultPlan is configured — see
 // sim/fault_injector.hh): each direction becomes a data-link layer with
 // sequence numbers, a bounded replay buffer, cumulative ACK / NAK-once
@@ -335,12 +335,11 @@ class PcieLink final : public SimObject {
     void deliver(unsigned dir);
     void credit(unsigned dir);
     /// Apply every credit return that has arrived by now() to `side`'s
-    /// transmit counters (the lazy path's inline substitute for credit()).
-    void harvest_credits(unsigned side);
+    /// transmit counters; true when any return was applied.
+    bool harvest_credits(unsigned side);
     [[nodiscard]] bool can_send_from(unsigned side, const Tlp& tlp);
 
     LinkParams params_;
-    bool eager_credits_ = false; ///< ACCESYS_EAGER_CREDITS escape hatch
     // Serialization/propagation constants hoisted out of the per-TLP path
     // (FP divides are too expensive to re-derive per packet).
     double ser_ps_per_byte_ = 0.0;

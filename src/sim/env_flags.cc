@@ -9,7 +9,6 @@ namespace {
 EnvFlags read_env()
 {
     EnvFlags f;
-    f.eager_credits = std::getenv("ACCESYS_EAGER_CREDITS") != nullptr;
     if (const char* v = std::getenv("ACCESYS_FAULTS")) {
         f.faults = v[0] != '0';
     }

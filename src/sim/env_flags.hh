@@ -12,14 +12,14 @@
 //   ACCESYS_CKPT=0           ignore checkpoint requests: --ckpt-at-ns and
 //                            watchdog/signal snapshots become no-ops
 //                            (escape hatch; restore still works)
-//   ACCESYS_EAGER_CREDITS=1  per-return PCIe credit events: the reference
-//                            path the lazy default is tested against
+//
+// PCIe link credits have one path (lazy, see pcie/link.hh) and no knob: its
+// oracle is the randomized reference model in test_pcie_link.
 #pragma once
 
 namespace accesys {
 
 struct EnvFlags {
-    bool eager_credits = false;
     bool faults = true;
     bool ckpt = true;
 

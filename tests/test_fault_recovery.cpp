@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/runner.hh"
+#include "test_util.hh"
 #include "workload/request_gen.hh"
 
 namespace accesys::core {
@@ -40,6 +41,7 @@ TEST(FaultRecovery, SeededCorruptionRecoversAndVerifies)
     EXPECT_GT(sys.stat("link_dn.recovery_ns"), 0.0);
     // Every corruption was recovered, none escalated to a dead TLP.
     EXPECT_EQ(sys.stat("link_dn.link_dead_tlps"), 0.0);
+    test::expect_credits_home(sys);
 }
 
 TEST(FaultRecovery, CorruptionOnSharedUplinkRecovers)
@@ -54,6 +56,7 @@ TEST(FaultRecovery, CorruptionOnSharedUplinkRecovers)
         runner.run_gemm(GemmSpec{48, 48, 48, 3}, Placement::host, true);
     EXPECT_TRUE(res.verified);
     EXPECT_GT(sys.stat("link_up.link_replays"), 0.0);
+    test::expect_credits_home(sys);
 }
 
 TEST(FaultRecovery, CorruptionIsDeterministicPerSeed)

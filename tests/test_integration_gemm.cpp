@@ -8,6 +8,7 @@
 
 #include "core/runner.hh"
 #include "sim/random.hh"
+#include "test_util.hh"
 
 namespace accesys::core {
 namespace {
@@ -110,6 +111,7 @@ TEST(IntegrationGemm, DevMemPlacementVerifies)
     // Operand traffic went to device memory, not over PCIe DMA.
     EXPECT_GT(sys.stat("mf.devmem_mover.bytes"), 0.0);
     EXPECT_LT(sys.stat("mf.dma.bytes_read"), 1024.0); // descriptor only
+    test::expect_credits_home(sys);
 }
 
 TEST(IntegrationGemm, SmmuDisabledStillVerifies)
@@ -246,6 +248,7 @@ TEST(IntegrationGemm, FourEndpointLiveSetFitsTheNearWindow)
         EXPECT_TRUE(runner.run_dispatched().all_verified());
         EXPECT_EQ(sys.sim().queue().heap_pushes(), 0u)
             << (place == Placement::host ? "host" : "devmem");
+        test::expect_credits_home(sys);
     }
 }
 

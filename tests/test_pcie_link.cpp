@@ -1,8 +1,13 @@
 // Tests for TLPs, PCIe generations and the credit-gated link model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+
 #include "pcie/link.hh"
 #include "sim/fault_injector.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::pcie {
@@ -305,6 +310,239 @@ TEST_F(LinkFixture, SameTickProbeCannotSwallowStarvedKick)
         << "starved sender never got its credit kick";
     EXPECT_TRUE(tx2.q.empty());
 }
+
+/// Randomized reference model of the link's credit accounting. Both ends
+/// send seeded random TLPs, both receivers hold their ingress buffer and
+/// release it at random ticks, and random probes read both transmit
+/// balances. Per transmit side the model is the advertised buffer, minus
+/// what that side sent, plus every return whose arrival (release tick plus
+/// propagation) is at or before now(). Probes are also aimed one tick
+/// before, at and after a return's arrival, where an off-by-one shows.
+/// The senders here never re-probe while starved, so only the link's
+/// credit_avail() kick can unblock them: it must reach a starved sender by
+/// the first tick at which the model admits its head TLP, never later, and
+/// never reach a sender that is not starved.
+class LinkCreditRandomized : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(LinkCreditRandomized, MatchesReferenceModel)
+{
+    Rng rng(GetParam());
+    Simulator sim;
+    LinkParams params;
+    params.hdr_credits = static_cast<unsigned>(rng.between(1, 6));
+    params.data_credit_bytes = rng.between(1, 8) * 64;
+    params.propagation_delay_ns = static_cast<double>(rng.between(1, 20));
+    PcieLink link(sim, "link", params);
+    const Tick prop = ticks_from_ns(params.propagation_delay_ns);
+    PciePort* const ends[2] = {&link.end_a(), &link.end_b()};
+
+    struct Node : PcieNode {
+        std::function<void(TlpPtr)> on_recv;
+        std::function<void()> on_credit;
+        void recv_tlp(unsigned, TlpPtr tlp) override
+        {
+            on_recv(std::move(tlp));
+        }
+        void credit_avail(unsigned) override { on_credit(); }
+    };
+    struct Return {
+        Tick arrival;
+        std::uint64_t data;
+    };
+    // One per link end: its transmitter's model and staging, and its
+    // receiver's held ingress. `returns` are credits coming back to this
+    // end's transmitter, freed by the other end's receiver.
+    struct Side {
+        std::int64_t sent_hdr = 0;
+        std::int64_t sent_data = 0;
+        std::vector<Return> returns;
+        std::deque<TlpPtr> staged;
+        bool starved = false; ///< a probe failed; no kick since
+        Tick starved_at = 0;
+        std::vector<TlpPtr> held; ///< unreleased ingress
+        std::size_t received = 0;
+    };
+    Side tx[2];
+    Node nodes[2];
+
+    // Model balance of side s's transmitter at tick t (t >= its last send).
+    const auto balance = [&](unsigned s, Tick t) {
+        std::int64_t hdr = params.hdr_credits - tx[s].sent_hdr;
+        auto data =
+            static_cast<std::int64_t>(params.data_credit_bytes) -
+            tx[s].sent_data;
+        for (const Return& r : tx[s].returns) {
+            if (r.arrival <= t) {
+                ++hdr;
+                data += static_cast<std::int64_t>(r.data);
+            }
+        }
+        return std::pair{hdr, data};
+    };
+    const auto admits = [&](unsigned s, Tick t, const Tlp& tlp) {
+        const auto [hdr, data] = balance(s, t);
+        return hdr >= 1 && data >= tlp.payload_bytes();
+    };
+    // First tick after a starved side's failed probe at which the model
+    // admits its head (kMaxTick: not yet). Its balance only grows while
+    // starved: it sends nothing until the kick.
+    const auto first_admit = [&](unsigned s) {
+        std::vector<Tick> ticks;
+        for (const Return& r : tx[s].returns) {
+            if (r.arrival > tx[s].starved_at) {
+                ticks.push_back(r.arrival);
+            }
+        }
+        std::sort(ticks.begin(), ticks.end());
+        for (const Tick t : ticks) {
+            if (admits(s, t, *tx[s].staged.front())) {
+                return t;
+            }
+        }
+        return kMaxTick;
+    };
+    const auto check_not_late = [&](unsigned s) {
+        if (tx[s].starved) {
+            EXPECT_GE(first_admit(s), sim.now())
+                << "side " << s << " starved since " << tx[s].starved_at
+                << ": credit_avail() missed the first admitting tick";
+        }
+    };
+
+    const auto try_send = [&](unsigned s) {
+        while (!tx[s].staged.empty()) {
+            const Tlp& head = *tx[s].staged.front();
+            const bool ok = ends[s]->can_send(head);
+            EXPECT_EQ(ok, admits(s, sim.now(), head))
+                << "side " << s << " probe at tick " << sim.now();
+            if (!ok) {
+                tx[s].starved = true;
+                tx[s].starved_at = sim.now();
+                return;
+            }
+            ++tx[s].sent_hdr;
+            tx[s].sent_data += head.payload_bytes();
+            ends[s]->send(std::move(tx[s].staged.front()));
+            tx[s].staged.pop_front();
+        }
+    };
+
+    std::deque<Event> events;
+    const auto at = [&](Tick t, std::string name, std::function<void()> fn) {
+        events.emplace_back(std::move(name), std::move(fn));
+        sim.queue().schedule(events.back(), t);
+    };
+    std::size_t probes = 0;
+    const auto probe = [&] {
+        ++probes;
+        for (unsigned s = 0; s < 2; ++s) {
+            const auto [hdr, data] = balance(s, sim.now());
+            EXPECT_EQ(static_cast<std::int64_t>(ends[s]->hdr_credits()), hdr)
+                << "side " << s << " at tick " << sim.now();
+            EXPECT_EQ(static_cast<std::int64_t>(ends[s]->data_credits()),
+                      data)
+                << "side " << s << " at tick " << sim.now();
+            check_not_late(s);
+        }
+    };
+    // Node r frees its ingress slot `idx`: the credits travel back to the
+    // peer's transmitter.
+    const auto release = [&](unsigned r, std::size_t idx) {
+        const std::uint32_t bytes = tx[r].held[idx]->payload_bytes();
+        tx[r].held.erase(tx[r].held.begin() +
+                         static_cast<std::ptrdiff_t>(idx));
+        const Tick arrival = sim.now() + prop;
+        tx[1 - r].returns.push_back(Return{arrival, bytes});
+        ends[r]->release_ingress(bytes);
+        if (rng.chance(0.5)) {
+            at(arrival - 1 + rng.below(3), "edge_probe", probe);
+        }
+    };
+
+    bool draining = false;
+    std::size_t kicks = 0;
+    std::size_t starvations = 0;
+    for (unsigned s = 0; s < 2; ++s) {
+        ends[s]->attach(nodes[s], 0);
+        nodes[s].on_recv = [&, s](TlpPtr tlp) {
+            ++tx[s].received;
+            tx[s].held.push_back(std::move(tlp));
+            if (draining) {
+                release(s, 0);
+            }
+        };
+        nodes[s].on_credit = [&, s] {
+            ++kicks;
+            EXPECT_TRUE(tx[s].starved)
+                << "credit_avail() on side " << s << " at tick " << sim.now()
+                << ", which was not starved";
+            check_not_late(s);
+            tx[s].starved = false;
+            try_send(s);
+        };
+    }
+
+    const Tick horizon = 40 * kTicksPerUs;
+    std::size_t sent_total = 0;
+    for (int i = 0; i < 400; ++i) {
+        const auto s = static_cast<unsigned>(rng.below(2));
+        const auto payload = static_cast<std::uint32_t>(
+            rng.below(3) == 0 ? 0 : rng.between(1, params.data_credit_bytes));
+        ++sent_total;
+        at(rng.below(horizon), "send", [&, s, payload, i] {
+            TlpPtr tlp = payload == 0
+                             ? make_mem_read(static_cast<Addr>(i), 64, 0, 1)
+                             : make_mem_write(static_cast<Addr>(i), payload, 1);
+            const bool was_idle = tx[s].staged.empty();
+            tx[s].staged.push_back(std::move(tlp));
+            if (was_idle) {
+                try_send(s);
+                starvations += tx[s].starved ? 1 : 0;
+            }
+        });
+    }
+    for (int i = 0; i < 300; ++i) {
+        const auto r = static_cast<unsigned>(rng.below(2));
+        at(rng.below(horizon), "release", [&, r] {
+            for (auto k = rng.between(1, 3); k > 0 && !tx[r].held.empty();
+                 --k) {
+                release(r, rng.below(tx[r].held.size()));
+            }
+        });
+        at(rng.below(horizon), "probe", probe);
+    }
+    at(horizon, "drain", [&] {
+        draining = true;
+        for (unsigned r = 0; r < 2; ++r) {
+            while (!tx[r].held.empty()) {
+                release(r, 0);
+            }
+        }
+    });
+    sim.run();
+    // Lazy returns schedule no event: let the last ones arrive.
+    at(sim.now() + prop, "settle", [] {});
+    sim.run();
+
+    // Everything sent arrived, nobody is left stranded, and every credit
+    // is home.
+    EXPECT_EQ(tx[0].received + tx[1].received, sent_total);
+    for (unsigned s = 0; s < 2; ++s) {
+        EXPECT_TRUE(tx[s].staged.empty()) << "side " << s << " stranded";
+        EXPECT_FALSE(tx[s].starved) << "side " << s << " never kicked";
+        EXPECT_EQ(ends[s]->hdr_credits(), params.hdr_credits);
+        EXPECT_EQ(ends[s]->data_credits(), params.data_credit_bytes);
+    }
+    probe();
+    // The run exercised what it checks.
+    EXPECT_GT(starvations, 0u);
+    EXPECT_GT(kicks, 0u);
+    EXPECT_GT(probes, 300u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkCreditRandomized,
+                         ::testing::Values(1, 2, 3, 17, 99, 12345));
 
 TEST_F(LinkFixture, OneShotCorruptionIsReplayedNeverSilentlyDelivered)
 {

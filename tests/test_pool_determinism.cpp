@@ -195,35 +195,6 @@ TEST(PoolDeterminism, ThreadsSettingIsAcceptedAndIgnored)
     EXPECT_EQ(domains4, 0u);
 }
 
-TEST(PoolDeterminism, LazyCreditsMatchEagerBitExactly)
-{
-    // Lazy link-credit accounting (pcie/link.cc) elides the per-TLP
-    // credit-return event on unstarved directions; a starved sender's kick
-    // is scheduled for the exact tick the eager model would have fired it.
-    // A run with eager_credits set — restoring the per-return event —
-    // must therefore produce the same end tick and bit-identical stats
-    // dumps. Event *counts* may differ (the elided kicks were no-ops), so
-    // they are deliberately not compared. PcieLink captures the flag at
-    // construction; the snapshot override swaps modes between Simulator
-    // lifetimes within one process.
-    const SimSnapshot lazy = run_gemm_sim(2, 48);
-    EXPECT_TRUE(lazy.verified);
-
-    SimSnapshot eager;
-    {
-        const ScopedEnvFlags override_flags(
-            [](EnvFlags& f) { f.eager_credits = true; });
-        eager = run_gemm_sim(2, 48);
-    }
-    EXPECT_TRUE(eager.verified);
-
-    EXPECT_EQ(lazy.end_tick, eager.end_tick);
-    EXPECT_EQ(lazy.stats_text, eager.stats_text);
-    EXPECT_EQ(lazy.stats_json, eager.stats_json);
-    EXPECT_GE(eager.events, lazy.events)
-        << "lazy accounting may only elide credit events, never add them";
-}
-
 TEST(PoolDeterminism, SeededFaultPlanRerunIsBitIdentical)
 {
     // The fault-injection determinism contract: per-(site, direction)

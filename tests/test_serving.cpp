@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/runner.hh"
+#include "test_util.hh"
 #include "workload/request_gen.hh"
 
 namespace accesys::core {
@@ -143,6 +144,7 @@ TEST(Serving, OverloadedBurstEveryJobAccounted)
     EXPECT_GT(res.tenants[0].p99_service_ns, 0.0);
     EXPECT_GE(res.tenants[0].p99_queue_ns, res.tenants[0].p50_queue_ns);
     EXPECT_GT(res.goodput_jobs_per_s(), 0.0);
+    test::expect_credits_home(sys);
 }
 
 TEST(Serving, ShedOldestAdmitsFreshWorkAndDropsTheHead)

@@ -50,7 +50,6 @@ TEST(SystemConfig, SetHostDram)
     auto cfg = SystemConfig::paper_default();
     cfg.set_host_dram("HBM2");
     EXPECT_EQ(cfg.host_mem.dram.name, "HBM2");
-    EXPECT_FALSE(cfg.host_simple);
     EXPECT_THROW(cfg.set_host_dram("nvram"), ConfigError);
 }
 

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
+#include "core/system.hh"
 #include "mem/backing_store.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
@@ -126,6 +128,37 @@ inline void drain(Simulator& sim, Tick horizon = 100 * kTicksPerMs)
     const auto rr = sim.run(horizon);
     ASSERT_NE(rr.cause, ExitCause::horizon_reached)
         << "simulation failed to drain by tick " << horizon;
+}
+
+/// Drain `sys`, then assert that both ends of the shared uplink and of
+/// every endpoint's downlink hold their full advertised transmit credits:
+/// every ingress buffer was released and its credits came home exactly
+/// once. Drains first because a run can return with credit returns still
+/// in flight behind its completion; then waits out the longest
+/// propagation delay, since a lazy return schedules no event of its own.
+inline void expect_credits_home(core::System& sys)
+{
+    sys.sim().run();
+    std::vector<pcie::PcieLink*> links{&sys.pcie_uplink()};
+    for (std::size_t i = 0; i < sys.device_count(); ++i) {
+        links.push_back(&sys.pcie_downlink(i));
+    }
+    double prop_ns = 0.0;
+    for (const pcie::PcieLink* link : links) {
+        prop_ns = std::max(prop_ns, link->params().propagation_delay_ns);
+    }
+    Event settle("settle", [] {});
+    sys.sim().queue().schedule(settle,
+                               sys.sim().now() + ticks_from_ns(prop_ns));
+    sys.sim().run();
+    for (pcie::PcieLink* link : links) {
+        const pcie::LinkParams& p = link->params();
+        for (const pcie::PciePort* end : {&link->end_a(), &link->end_b()}) {
+            EXPECT_EQ(end->hdr_credits(), p.hdr_credits) << link->name();
+            EXPECT_EQ(end->data_credits(), p.data_credit_bytes)
+                << link->name();
+        }
+    }
 }
 
 } // namespace accesys::test
