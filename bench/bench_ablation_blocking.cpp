@@ -37,7 +37,7 @@ int main(int argc, char** argv)
         for (const double bw : bandwidths) {
             core::SystemConfig cfg = core::SystemConfig::paper_default();
             cfg.set_pcie_target_gbps(bw);
-            cfg.accel.max_block_cols = w;
+            cfg.devices[0].accel.max_block_cols = w;
             std::printf(" %10.3f",
                         benchutil::gemm_ms(cfg, spec,
                                            core::Placement::host));

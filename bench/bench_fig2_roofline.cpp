@@ -39,7 +39,7 @@ int main(int argc, char** argv)
     for (const double cns : compute_ns) {
         core::SystemConfig cfg = core::SystemConfig::paper_default();
         cfg.set_pcie_target_gbps(8.0);
-        cfg.accel.sa.compute_time_override_ns = cns;
+        cfg.devices[0].accel.sa.compute_time_override_ns = cns;
         const double ms = benchutil::gemm_ms(cfg, spec,
                                              core::Placement::host);
         const double pred = analytic::tile_time_ns(roof, cns);

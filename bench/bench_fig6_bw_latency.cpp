@@ -16,10 +16,11 @@ double run_point(const workload::GemmSpec& spec, double gbps,
                  double latency_ns)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
-    cfg.enable_devmem = true;
-    cfg.devmem_simple = true;
-    cfg.devmem_simple_mem.bandwidth_gbps = gbps;
-    cfg.devmem_simple_mem.latency_ns = latency_ns;
+    core::DeviceConfig& dev = cfg.devices[0];
+    dev.enable_devmem = true;
+    dev.devmem_simple = true;
+    dev.devmem_simple_mem.bandwidth_gbps = gbps;
+    dev.devmem_simple_mem.latency_ns = latency_ns;
     return benchutil::gemm_ms(cfg, spec, core::Placement::devmem);
 }
 

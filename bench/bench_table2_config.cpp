@@ -37,7 +37,7 @@ int main(int argc, char** argv)
     std::printf("%-22s %.0f ns latency\n", "PCIe RootComplex",
                 cfg.rc.latency_ns);
     std::printf("%-22s %.0f ns latency\n", "PCIe Switch",
-                cfg.pcie_switch.latency_ns);
+                cfg.switch_tree[0].params.latency_ns);
 
     // Mechanical checks against the paper's numbers.
     ensure(cfg.cpu.freq_ghz == 1.0, "CPU must be 1 GHz");
@@ -48,7 +48,7 @@ int main(int argc, char** argv)
     ensure(cfg.pcie.lanes == 4 && cfg.pcie.lane_gbps == 4.0,
            "PCIe must be 4 lanes at 4 Gb/s");
     ensure(cfg.rc.latency_ns == 150.0, "RC latency must be 150 ns");
-    ensure(cfg.pcie_switch.latency_ns == 50.0,
+    ensure(cfg.switch_tree[0].params.latency_ns == 50.0,
            "switch latency must be 50 ns");
 
     std::printf("\nall Table II values verified against "

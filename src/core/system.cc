@@ -1,6 +1,7 @@
 #include "core/system.hh"
 
-#include <cstring>
+#include <bit>
+#include <type_traits>
 
 #include "sim/serialize.hh"
 
@@ -13,118 +14,121 @@ namespace {
 constexpr Addr kDataBase = 16 * kMiB;
 constexpr std::uint64_t kPtArenaBytes = 128 * kMiB;
 
-std::uint64_t dbits(double v) noexcept
+/// Fold each field into an FNV-1a hash: doubles by bit pattern, enums and
+/// bools by value, strings by length then bytes.
+template <typename... Fields>
+std::uint64_t mix(std::uint64_t h, const Fields&... fields) noexcept
 {
-    std::uint64_t u = 0;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
-
-std::uint64_t mix_str(std::uint64_t h, const std::string& s) noexcept
-{
-    h = fnv1a64(h, s.size());
-    for (const char c : s) {
-        h = fnv1a64(h, static_cast<std::uint8_t>(c));
-    }
+    const auto one = [&h]<typename T>(const T& f) {
+        if constexpr (std::is_same_v<T, std::string>) {
+            h = fnv1a64(h, f.size());
+            for (const char c : f) {
+                h = fnv1a64(h, static_cast<std::uint8_t>(c));
+            }
+        } else if constexpr (std::is_floating_point_v<T>) {
+            h = fnv1a64(h, std::bit_cast<std::uint64_t>(f));
+        } else {
+            h = fnv1a64(h, static_cast<std::uint64_t>(f));
+        }
+    };
+    (one(fields), ...);
     return h;
 }
 
 std::uint64_t mix_link(std::uint64_t h, const pcie::LinkParams& l) noexcept
 {
-    h = fnv1a64(h, l.lanes);
-    h = fnv1a64(h, dbits(l.lane_gbps));
-    h = fnv1a64(h, static_cast<std::uint64_t>(l.gen));
-    h = fnv1a64(h, dbits(l.propagation_delay_ns));
-    h = fnv1a64(h, l.tlp_overhead_bytes);
-    h = fnv1a64(h, l.hdr_credits);
-    h = fnv1a64(h, l.data_credit_bytes);
-    return h;
+    return mix(h, l.lanes, l.lane_gbps, l.gen, l.propagation_delay_ns,
+               l.tlp_overhead_bytes, l.hdr_credits, l.data_credit_bytes);
+}
+
+std::uint64_t mix_cache(std::uint64_t h, const cache::CacheParams& c) noexcept
+{
+    return mix(h, c.size_bytes, c.assoc, c.line_bytes, c.lookup_latency_ns,
+               c.fill_latency_ns, c.mshrs, c.targets_per_mshr, c.repl);
+}
+
+std::uint64_t mix_xbar(std::uint64_t h, const mem::XbarParams& x) noexcept
+{
+    return mix(h, x.request_latency_ns, x.response_latency_ns, x.width_gbps,
+               x.queue_capacity, x.coherent);
+}
+
+std::uint64_t mix_mem(std::uint64_t h, const mem::MemCtrlParams& m) noexcept
+{
+    const mem::DramParams& d = m.dram;
+    h = mix(h, d.name, d.channels, d.data_width_bits, d.data_rate_mts,
+            d.banks, d.burst_length, d.row_bytes, d.tCL_ns, d.tRCD_ns,
+            d.tRP_ns, d.tRAS_ns, d.tRFC_ns, d.tREFI_ns, d.refresh_enabled);
+    return mix(h, m.read_queue_capacity, m.write_queue_capacity,
+               m.frontend_latency_ns, m.backend_latency_ns, m.frfcfs_window,
+               m.write_drain_threshold);
 }
 
 /// Curated FNV-1a hash of everything a checkpoint's validity depends on:
-/// topology shape, address map, timing-relevant knobs and the fault plan.
+/// topology shape, address map, every timing parameter and the fault plan.
 /// `threads` is excluded: it is accepted and ignored.
 std::uint64_t config_hash(const SystemConfig& cfg)
 {
-    std::uint64_t h = kFnvBasis;
-    h = fnv1a64(h, cfg.host_dram_bytes);
-    h = fnv1a64(h, static_cast<std::uint64_t>(cfg.access_mode));
-    h = fnv1a64(h, dbits(cfg.cpu.freq_ghz));
-    h = fnv1a64(h, cfg.cpu.mem_window);
-    h = fnv1a64(h, cfg.cpu.line_bytes);
-    h = fnv1a64(h, cfg.cpu.max_polls_per_op);
-    h = fnv1a64(h, dbits(cfg.rc.latency_ns));
-    h = fnv1a64(h, cfg.rc.host_split_bytes);
-    h = fnv1a64(h, cfg.rc.max_payload_bytes);
-    h = fnv1a64(h, cfg.rc.max_inbound_reads);
-    h = fnv1a64(h, cfg.rc.mmio_tags);
-    h = fnv1a64(h, cfg.smmu.enabled ? 1 : 0);
+    const cpu::CpuParams& cpu = cfg.cpu;
+    std::uint64_t h = mix(kFnvBasis, cfg.host_dram_bytes, cfg.access_mode,
+                          cpu.freq_ghz, cpu.mem_window, cpu.uncacheable_window,
+                          cpu.line_bytes, cpu.simd_lanes,
+                          cpu.poll_interval_cycles,
+                          cpu.poll_interval_max_cycles, cpu.max_polls_per_op);
+    h = mix_cache(mix_cache(mix_cache(h, cfg.l1d), cfg.llc), cfg.iocache);
+    h = mix_xbar(mix_mem(h, cfg.host_mem), cfg.membus);
+    const pcie::RcParams& rc = cfg.rc;
+    h = mix(h, rc.latency_ns, rc.host_split_bytes, rc.max_payload_bytes,
+            rc.max_inbound_reads, rc.mem_queue_capacity, rc.mmio_tags);
+    const smmu::SmmuParams& sm = cfg.smmu;
+    h = mix(h, sm.enabled, sm.utlb_entries, sm.utlb_assoc, sm.tlb_entries,
+            sm.tlb_assoc, sm.utlb_hit_latency_ns, sm.tlb_hit_latency_ns,
+            sm.walk_slots, sm.pwc_entries, sm.max_pending,
+            sm.walker_uncacheable);
     h = mix_link(h, cfg.pcie);
 
-    const auto switches = cfg.resolved_switch_tree();
-    h = fnv1a64(h, switches.size());
-    for (const SwitchConfig& sw : switches) {
-        h = fnv1a64(h, sw.parent);
-        h = fnv1a64(h, dbits(sw.params.latency_ns));
-        h = mix_link(h, sw.uplink);
+    h = mix(h, cfg.switch_tree.size());
+    for (const SwitchConfig& sw : cfg.switch_tree) {
+        h = mix(h, sw.parent, sw.params.latency_ns);
+        h = mix_link(h, sw.uplink.value_or(cfg.pcie));
     }
 
-    const auto devices = cfg.resolved_devices();
-    h = fnv1a64(h, devices.size());
-    for (const DeviceConfig& dev : devices) {
-        h = mix_str(h, dev.name);
-        h = fnv1a64(h, dev.stream_id);
-        h = fnv1a64(h, dev.attach_to);
-        h = fnv1a64(h, dev.accel.ep.device_id);
-        h = fnv1a64(h, dev.accel.bar0_base);
-        h = fnv1a64(h, dev.accel.bar0_size);
-        h = fnv1a64(h, dev.accel.local_base);
-        h = fnv1a64(h, dev.accel.local_buffer_bytes);
-        h = fnv1a64(h, dev.accel.max_block_cols);
-        h = fnv1a64(h, dev.accel.cmd_fifo_depth);
-        h = fnv1a64(h, dev.accel.dma.channels);
-        h = fnv1a64(h, dev.accel.dma.request_bytes);
-        h = fnv1a64(h, dev.accel.dma.write_bytes);
-        h = fnv1a64(h, dev.accel.dma.window_bytes);
-        h = fnv1a64(h, dev.accel.dma.max_tags);
+    h = mix(h, cfg.devices.size());
+    for (const DeviceConfig& dev : cfg.devices) {
+        const accel::MatrixFlowParams& a = dev.accel;
+        h = mix(h, dev.name, dev.stream_id, dev.attach_to, a.ep.device_id,
+                a.ep.latency_ns, a.bar0_base, a.bar0_size, a.local_base,
+                a.local_buffer_bytes, a.max_block_cols, a.cmd_fifo_depth);
+        h = mix(h, a.sa.rows, a.sa.cols, a.sa.freq_ghz, a.sa.fill_drain_cycles,
+                a.sa.compute_time_override_ns);
+        h = mix(h, a.dma.channels, a.dma.request_bytes, a.dma.write_bytes,
+                a.dma.window_bytes, a.dma.max_tags, a.dma.max_egress,
+                a.devmem_mover.request_bytes, a.devmem_mover.max_outstanding);
         if (dev.link) {
             h = mix_link(h, *dev.link);
         }
-        h = fnv1a64(h, dev.enable_devmem ? 1 : 0);
-        h = fnv1a64(h, dev.devmem_base);
-        h = fnv1a64(h, dev.enable_devmem ? dev.devmem_bytes : 0);
+        h = mix(h, dev.enable_devmem, dev.devmem_base);
+        if (dev.enable_devmem) {
+            const mem::SimpleMemParams& simple = dev.devmem_simple_mem;
+            h = mix(h, dev.devmem_bytes, dev.devmem_simple, simple.latency_ns,
+                    simple.bandwidth_gbps, simple.queue_capacity);
+            h = mix_mem(mix_xbar(h, dev.devmem_xbar), dev.devmem_mem);
+        }
     }
 
     const FaultPlan& fp = cfg.fault_plan;
-    h = fnv1a64(h, fp.active() ? 1 : 0);
+    h = mix(h, fp.active());
     if (fp.active()) {
-        h = fnv1a64(h, fp.seed);
-        h = fnv1a64(h, dbits(fp.corrupt_rate));
-        h = mix_str(h, fp.corrupt_site);
-        h = fnv1a64(h, fp.events.size());
+        h = mix(h, fp.seed, fp.corrupt_rate, fp.corrupt_site, fp.events.size());
         for (const FaultEvent& ev : fp.events) {
-            h = fnv1a64(h, static_cast<std::uint64_t>(ev.kind));
-            h = mix_str(h, ev.site);
-            h = fnv1a64(h, ev.dir);
-            h = fnv1a64(h, dbits(ev.at_ns));
-            h = fnv1a64(h, dbits(ev.duration_ns));
+            h = mix(h, ev.kind, ev.site, ev.dir, ev.at_ns, ev.duration_ns);
         }
-        h = fnv1a64(h, fp.replay_buffer_tlps);
-        h = fnv1a64(h, fp.max_replays);
-        h = fnv1a64(h, dbits(fp.replay_timeout_ns));
-        h = fnv1a64(h, dbits(fp.completion_timeout_ns));
-        h = fnv1a64(h, fp.completion_max_retries);
-        h = fnv1a64(h, dbits(fp.job_timeout_ns));
-        h = fnv1a64(h, dbits(fp.hang_rate));
-        h = mix_str(h, fp.hang_site);
-        h = fnv1a64(h, dbits(fp.poison_rate));
-        h = mix_str(h, fp.poison_site);
-        h = fnv1a64(h, dbits(fp.smmu_fault_rate));
-        h = fnv1a64(h, dbits(fp.flr_ns));
-        h = fnv1a64(h, fp.job_max_attempts);
-        h = fnv1a64(h, fp.fleet_retry_budget);
-        h = fnv1a64(h, fp.quarantine_failures);
-        h = fnv1a64(h, fp.rehab_successes);
+        h = mix(h, fp.replay_buffer_tlps, fp.max_replays, fp.replay_timeout_ns,
+                fp.completion_timeout_ns, fp.completion_max_retries,
+                fp.job_timeout_ns, fp.hang_rate, fp.hang_site, fp.poison_rate,
+                fp.poison_site, fp.smmu_fault_rate, fp.flr_ns,
+                fp.job_max_attempts, fp.fleet_retry_budget,
+                fp.quarantine_failures, fp.rehab_successes);
     }
     return h;
 }
@@ -166,10 +170,6 @@ void System::build()
         cfg_.fault_plan.completion_timeout_ns > 0) {
         // Propagate the completion-timeout budget to every requester that
         // waits on PCIe completions.
-        cfg_.accel.dma.completion_timeout_ns =
-            cfg_.fault_plan.completion_timeout_ns;
-        cfg_.accel.dma.completion_max_retries =
-            cfg_.fault_plan.completion_max_retries;
         for (DeviceConfig& dev : cfg_.devices) {
             dev.accel.dma.completion_timeout_ns =
                 cfg_.fault_plan.completion_timeout_ns;
@@ -184,7 +184,6 @@ void System::build()
         // Any enabled plan arms DMA fault mode: stray-completion tolerance
         // and poison containment work even without a completion watchdog
         // (FLR drains and poisoned CplDs produce both).
-        cfg_.accel.dma.fault_mode = true;
         for (DeviceConfig& dev : cfg_.devices) {
             dev.accel.dma.fault_mode = true;
         }

@@ -24,10 +24,10 @@
 // SystemConfig::switch_tree nests additional PcieSwitch levels. All
 // placement knobs auto-carve (TopologyBuilder assigns unique requester
 // ids and a non-overlapping address map), and every device gets a
-// distinct stat prefix ("mf.", "mf1.", ...). An empty device list means
-// the classic single-device system; the single-device accessors below
-// (`accelerator()` == `accelerator(0)`) keep existing call sites working
-// unchanged.
+// distinct stat prefix ("mf.", "mf1.", ...). Neither list is ever empty:
+// SystemConfig::paper_default() declares the paper's single Table II
+// device below one root switch, and the single-device accessors below
+// (`accelerator()` == `accelerator(0)`) address that device 0.
 #pragma once
 
 #include <memory>

@@ -43,7 +43,8 @@ SystemConfig SystemConfig::paper_default()
     cfg.pcie.lanes = 4;
     cfg.pcie.lane_gbps = 4.0;
     cfg.rc.latency_ns = 150.0;
-    cfg.pcie_switch.latency_ns = 50.0;
+    SwitchConfig& root = cfg.switch_tree.emplace_back();
+    root.params.latency_ns = 50.0;
 
     // SMMU sized so the Table IV study shows the paper's capacity cliff:
     // the 2048^3 working set exceeds the main TLB and triggers a PTW storm,
@@ -56,19 +57,21 @@ SystemConfig SystemConfig::paper_default()
     cfg.smmu.pwc_entries = 16;
 
     // Accelerator: 16x16 MatrixFlow systolic array at 1 GHz.
-    cfg.accel.sa.rows = 16;
-    cfg.accel.sa.cols = 16;
-    cfg.accel.sa.freq_ghz = 1.0;
-    cfg.accel.local_buffer_bytes = 256 * kKiB;
+    DeviceConfig& dev = cfg.devices.emplace_back();
+    dev.accel.sa.rows = 16;
+    dev.accel.sa.cols = 16;
+    dev.accel.sa.freq_ghz = 1.0;
+    dev.accel.local_buffer_bytes = 256 * kKiB;
 
     // Device-side memory defaults (enabled per experiment).
-    cfg.devmem_mem.dram = mem::hbm2();
-    cfg.devmem_xbar.coherent = false;
-    cfg.devmem_xbar.width_gbps = 256.0;
-    cfg.devmem_xbar.request_latency_ns = 2.0;
-    cfg.devmem_xbar.response_latency_ns = 2.0;
-    cfg.devmem_xbar.queue_capacity = 64;
-    cfg.devmem_mem.read_queue_capacity = 64;
+    dev.devmem_base = 0x200000000000ULL;
+    dev.devmem_mem.dram = mem::hbm2();
+    dev.devmem_xbar.coherent = false;
+    dev.devmem_xbar.width_gbps = 256.0;
+    dev.devmem_xbar.request_latency_ns = 2.0;
+    dev.devmem_xbar.response_latency_ns = 2.0;
+    dev.devmem_xbar.queue_capacity = 64;
+    dev.devmem_mem.read_queue_capacity = 64;
 
     cfg.set_packet_size(256);
     return cfg;
@@ -96,8 +99,10 @@ std::vector<DesignPoint> transformer_design_points()
 
 void SystemConfig::set_packet_size(std::uint32_t bytes)
 {
-    accel.dma.request_bytes = bytes;
-    accel.dma.write_bytes = bytes;
+    for (DeviceConfig& dev : devices) {
+        dev.accel.dma.request_bytes = bytes;
+        dev.accel.dma.write_bytes = bytes;
+    }
     rc.max_payload_bytes = bytes;
 }
 
@@ -114,91 +119,38 @@ void SystemConfig::set_host_dram(const std::string& preset)
 
 void SystemConfig::set_devmem(const std::string& preset)
 {
-    enable_devmem = true;
-    devmem_mem.dram = mem::dram_params_by_name(preset);
-    devmem_simple = false;
+    const mem::DramParams dram = mem::dram_params_by_name(preset);
+    for (DeviceConfig& dev : devices) {
+        dev.enable_devmem = true;
+        dev.devmem_mem.dram = dram;
+        dev.devmem_simple = false;
+    }
 }
-
-namespace {
-
-/// The legacy single-device fields expressed as a DeviceConfig.
-DeviceConfig legacy_device(const SystemConfig& cfg)
-{
-    DeviceConfig d;
-    d.accel = cfg.accel;
-    d.enable_devmem = cfg.enable_devmem;
-    d.devmem_base = cfg.devmem_base;
-    d.devmem_bytes = cfg.devmem_bytes;
-    d.devmem_simple = cfg.devmem_simple;
-    d.devmem_mem = cfg.devmem_mem;
-    d.devmem_simple_mem = cfg.devmem_simple_mem;
-    d.devmem_xbar = cfg.devmem_xbar;
-    return d;
-}
-
-/// Clone with every placement knob set to auto-carve.
-DeviceConfig auto_clone(const DeviceConfig& proto)
-{
-    DeviceConfig d = proto;
-    d.name.clear();
-    d.accel.bar0_base = 0;
-    d.accel.local_base = 0;
-    d.accel.ep.device_id = 0;
-    d.devmem_base = 0;
-    d.stream_id = 0;
-    d.attach_to = 0;
-    return d;
-}
-
-} // namespace
 
 void SystemConfig::set_num_devices(std::size_t n)
 {
     require_cfg(n >= 1, "a system needs at least one accelerator");
     require_cfg(n <= 0xFFFF, "device count ", n,
                 " exceeds the 16-bit PCIe requester-id space");
-    devices.clear();
-    devices.push_back(legacy_device(*this));
-    for (std::size_t i = 1; i < n; ++i) {
-        devices.push_back(auto_clone(devices.front()));
-    }
-}
-
-DeviceConfig& SystemConfig::add_device(std::string name)
-{
-    if (devices.empty()) {
-        devices.push_back(legacy_device(*this));
-    }
-    devices.push_back(auto_clone(devices.front()));
-    devices.back().name = std::move(name);
-    return devices.back();
+    require_cfg(!devices.empty(), "set_num_devices() clones device 0");
+    devices.resize(1);
+    DeviceConfig clone = devices.front();
+    clone.name.clear();
+    clone.accel.bar0_base = 0;
+    clone.accel.local_base = 0;
+    clone.accel.ep.device_id = 0;
+    clone.devmem_base = 0;
+    clone.stream_id = 0;
+    clone.attach_to = 0;
+    devices.insert(devices.end(), n - 1, clone);
 }
 
 std::size_t SystemConfig::add_switch_below(std::size_t parent)
 {
-    if (switch_tree.empty()) {
-        switch_tree.push_back(SwitchConfig{0, pcie_switch, pcie});
-    }
     require_cfg(parent < switch_tree.size(),
                 "switch parent index out of range");
-    switch_tree.push_back(SwitchConfig{parent, pcie_switch, pcie});
+    switch_tree.push_back(SwitchConfig{parent, switch_tree.front().params, {}});
     return switch_tree.size() - 1;
-}
-
-std::vector<DeviceConfig> SystemConfig::resolved_devices() const
-{
-    if (!devices.empty()) {
-        return devices;
-    }
-    return {legacy_device(*this)};
-}
-
-std::vector<SwitchConfig> SystemConfig::resolved_switch_tree() const
-{
-    if (!switch_tree.empty()) {
-        return switch_tree;
-    }
-    return {SwitchConfig{0, pcie_switch, pcie}};
 }
 
 void ServingConfig::validate() const
@@ -230,11 +182,15 @@ void SystemConfig::validate() const
     // id uniqueness, address-map overlap) live in TopologyBuilder::resolve,
     // which every System construction runs; here we only validate the
     // per-component parameter blocks.
-    for (const auto& sw : resolved_switch_tree()) {
-        sw.uplink.validate();
+    require_cfg(!switch_tree.empty(), "the PCIe switch tree is empty");
+    for (const SwitchConfig& sw : switch_tree) {
+        if (sw.uplink) {
+            sw.uplink->validate();
+        }
     }
 
-    for (const DeviceConfig& dev : resolved_devices()) {
+    require_cfg(!devices.empty(), "a system needs at least one accelerator");
+    for (const DeviceConfig& dev : devices) {
         dev.accel.validate();
         if (dev.accel.bar0_base != 0) {
             require_cfg(dev.accel.bar0_base >= host_dram_bytes,

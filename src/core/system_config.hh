@@ -76,7 +76,9 @@ struct DeviceConfig {
 struct SwitchConfig {
     std::size_t parent = 0; ///< parent switch index (ignored for index 0)
     pcie::SwitchParams params;
-    pcie::LinkParams uplink; ///< link toward the parent (RC for index 0)
+    /// Link toward the parent (the RC for index 0). Unset = clone
+    /// SystemConfig::pcie, as for DeviceConfig::link.
+    std::optional<pcie::LinkParams> uplink;
 };
 
 /// Overload policy for the Runner's bounded admission queue (see
@@ -145,30 +147,17 @@ struct SystemConfig {
     // --- PCIe (Table II: v2.0, 4 Gb/s lanes, x4) -----------------------------
     pcie::LinkParams pcie;
     pcie::RcParams rc;
-    pcie::SwitchParams pcie_switch;
 
     // --- SMMU -----------------------------------------------------------------
     smmu::SmmuParams smmu;
 
-    // --- accelerator (device 0 when `devices` is empty) ----------------------
-    accel::MatrixFlowParams accel;
-
-    // --- device-side memory (device 0 when `devices` is empty) ---------------
-    bool enable_devmem = false;
-    mem::MemCtrlParams devmem_mem;
-    bool devmem_simple = false;
-    mem::SimpleMemParams devmem_simple_mem;
-    std::uint64_t devmem_bytes = 8 * kGiB;
-    mem::XbarParams devmem_xbar;
-    Addr devmem_base = 0x200000000000ULL;
-
-    // --- multi-accelerator topology -------------------------------------------
-    /// Declarative endpoint list. Empty = the classic single-device system
-    /// synthesized from the legacy `accel` / devmem fields above; otherwise
-    /// the TopologyBuilder instantiates one endpoint per entry.
+    // --- PCIe topology --------------------------------------------------------
+    /// The endpoints, one MatrixFlow accelerator (with its optional
+    /// device-side memory) each; the TopologyBuilder instantiates one per
+    /// entry. Never empty: paper_default() declares the Table II device.
     std::vector<DeviceConfig> devices;
-    /// PCIe switch tree. Empty = one root switch built from `pcie_switch` /
-    /// `pcie` (the paper's Fig. 1 layout).
+    /// PCIe switch tree. Never empty: paper_default() declares the root
+    /// switch below the RC (the paper's Fig. 1 layout).
     std::vector<SwitchConfig> switch_tree;
 
     AccessMode access_mode = AccessMode::dc;
@@ -188,8 +177,8 @@ struct SystemConfig {
     /// DDR3-1600 host memory, PCIe 2.0 x4 @ 4 Gb/s, RC 150 ns, switch 50 ns.
     [[nodiscard]] static SystemConfig paper_default();
 
-    /// Set the DMA request size and the RC completion payload limit together
-    /// — the paper's single "packet size" knob (Fig. 4).
+    /// Set every endpoint's DMA request size and the RC completion payload
+    /// limit together — the paper's single "packet size" knob (Fig. 4).
     void set_packet_size(std::uint32_t bytes);
 
     /// Replace the PCIe link with one of `gbps` effective bandwidth,
@@ -200,38 +189,19 @@ struct SystemConfig {
     /// Select the host DRAM technology by preset name ("DDR4", "HBM2", ...).
     void set_host_dram(const std::string& preset);
 
-    /// Enable device-side memory with the given DRAM technology.
+    /// Enable device-side memory of the given DRAM technology on every
+    /// endpoint.
     void set_devmem(const std::string& preset);
 
-    /// Populate `devices` with `n` endpoints below the root switch:
-    /// device 0 mirrors the legacy single-device fields, devices 1..n-1
-    /// clone its parameters with all placement knobs set to auto-carve.
+    /// Keep device 0 and append n-1 clones of it below the root switch,
+    /// with every placement knob set to auto-carve.
     void set_num_devices(std::size_t n);
 
-    /// Append one endpoint cloned from the legacy accelerator fields with
-    /// auto-carved placement; returns it for further tweaking. The first
-    /// call also materialises the legacy device as device 0. The returned
-    /// reference lives in `devices` and is invalidated by the next
-    /// add_device() / set_num_devices() call — finish tweaking one device
-    /// before appending the next, or index `devices` directly.
-    DeviceConfig& add_device(std::string name = "");
-
-    /// Append a switch below `parent` and return its index (usable as a
-    /// DeviceConfig::attach_to). The first call materialises the root
-    /// switch (index 0) from the legacy `pcie_switch` / `pcie` fields.
+    /// Append a switch below `parent`, cloned from the root switch, and
+    /// return its index (usable as a DeviceConfig::attach_to).
     std::size_t add_switch_below(std::size_t parent);
 
-    /// Effective endpoint list: `devices`, or the synthesized legacy
-    /// single-device entry when it is empty.
-    [[nodiscard]] std::vector<DeviceConfig> resolved_devices() const;
-
-    /// Effective switch tree: `switch_tree`, or the single legacy root.
-    [[nodiscard]] std::vector<SwitchConfig> resolved_switch_tree() const;
-
-    [[nodiscard]] std::size_t device_count() const
-    {
-        return devices.empty() ? 1 : devices.size();
-    }
+    [[nodiscard]] std::size_t device_count() const { return devices.size(); }
 
     void validate() const;
 };

@@ -7,9 +7,10 @@ namespace accesys::core {
 
 namespace {
 
-/// Region bases for auto-carved placements. Device 0's defaults (from
-/// MatrixFlowParams / SystemConfig) sit exactly at these bases, so the
-/// single-device address map is unchanged.
+/// Region bases for auto-carved placements. Device 0's explicit placement
+/// (MatrixFlowParams defaults and SystemConfig::paper_default()'s devmem
+/// base) sits exactly at these bases, so the single-device address map is
+/// the same whether or not device 0 is auto-carved.
 constexpr Addr kBarRegionBase = 0x100000000000ULL;
 constexpr Addr kDevmemRegionBase = 0x200000000000ULL;
 constexpr Addr kStagingRegionBase = 0x700000000000ULL;
@@ -49,12 +50,14 @@ std::string index_suffix(std::size_t i)
 ResolvedTopology TopologyBuilder::resolve(const SystemConfig& cfg)
 {
     ResolvedTopology topo;
-    topo.switches = cfg.resolved_switch_tree();
-    const std::vector<DeviceConfig> devs = cfg.resolved_devices();
+    topo.switches = cfg.switch_tree;
+    const std::vector<DeviceConfig>& devs = cfg.devices;
 
-    for (std::size_t i = 1; i < topo.switches.size(); ++i) {
-        require_cfg(topo.switches[i].parent < i,
+    for (std::size_t i = 0; i < topo.switches.size(); ++i) {
+        SwitchConfig& sw = topo.switches[i];
+        require_cfg(i == 0 || sw.parent < i,
                     "switch tree must be declared in topological order");
+        sw.uplink = sw.uplink.value_or(cfg.pcie);
     }
 
     // --- names and PCIe requester ids ---------------------------------------
@@ -196,7 +199,7 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
         const std::string link_name =
             i == 0 ? "link_up" : "pcie_sw" + std::to_string(i) + "_up";
         topo.uplinks.push_back(std::make_unique<pcie::PcieLink>(
-            sim, link_name, plan.switches[i].uplink));
+            sim, link_name, *plan.switches[i].uplink));
     }
     rc.connect_pcie(topo.uplinks[0]->end_a());
     topo.switches[0]->set_upstream(topo.uplinks[0]->end_b());

@@ -69,6 +69,8 @@ struct ResolvedDevice {
 
 /// The planned address map + switch tree, before instantiation.
 struct ResolvedTopology {
+    /// The switch tree with every uplink set (SwitchConfig::uplink or the
+    /// system-wide SystemConfig::pcie clone).
     std::vector<SwitchConfig> switches;
     std::vector<ResolvedDevice> devices;
     /// CPU-visible PCIe window covering every BAR and devmem aperture.

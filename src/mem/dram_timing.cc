@@ -52,9 +52,6 @@ DramTiming::DramTiming(const DramParams& params) : params_(params)
 
 DramTiming::Coord DramTiming::decode_burst(std::uint64_t burst) const
 {
-    if (burst == memo_burst_) {
-        return memo_coord_;
-    }
     // Interleave channels at burst granularity, banks at row granularity:
     //   [ row | bank | channel | offset-in-burst ]
     // Streaming accesses then spread across channels and keep rows open.
@@ -72,8 +69,6 @@ DramTiming::Coord DramTiming::decode_burst(std::uint64_t burst) const
         c.bank = static_cast<unsigned>(rows_space % params_.banks);
         c.row = rows_space / params_.banks;
     }
-    memo_burst_ = burst;
-    memo_coord_ = c;
     return c;
 }
 
@@ -179,9 +174,6 @@ void DramTiming::serialize(Ckpt& ar)
     }
     ar.pod_vec(open_keys_);
     ar.io(row_hits_, row_misses_, bursts_, refreshes_);
-    if (ar.loading()) {
-        memo_burst_ = ~0ULL; // pure decode cache; rebuilt on first access
-    }
 }
 
 } // namespace accesys::mem

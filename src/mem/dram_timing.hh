@@ -15,11 +15,9 @@
 // Hot-path structure: all timing parameters are converted to ticks once at
 // construction (no per-burst ns->tick FP math), address decode is shift/mask
 // when every geometry field is a power of two (with a division fallback for
-// exotic widths), and a one-entry (channel,bank,row) memo short-circuits the
-// decode for the consecutive-burst and repeated-probe patterns. The open row
-// of every bank is mirrored in a flat packed-key table so the FR-FCFS
-// scheduler can test row hits with one 64-bit compare per queued request —
-// see packed_key() / open_keys().
+// exotic widths). The open row of every bank is mirrored in a flat
+// packed-key table so the FR-FCFS scheduler can test row hits with one
+// 64-bit compare per queued request — see packed_key() / open_keys().
 #pragma once
 
 #include <cstdint>
@@ -54,8 +52,8 @@ class DramTiming {
     /// Timing for `n_bursts` consecutive burst-sized accesses starting at
     /// `addr`, each issued no earlier than `t` — bit-equivalent to calling
     /// access() in a loop with `addr += burst_bytes()`, but walking the bank
-    /// state machine with an incremental burst index and the decode memo
-    /// instead of a full decode per burst. Returns the max data_ready across
+    /// state machine with an incremental burst index instead of an address
+    /// per burst. Returns the max data_ready across
     /// the run, the last touched channel's bus horizon, and the last burst's
     /// row-hit flag and channel.
     [[nodiscard]] Access access_run(Addr addr, std::uint64_t n_bursts,
@@ -124,8 +122,7 @@ class DramTiming {
     };
     [[nodiscard]] Coord decode(Addr addr) const;
 
-    /// Checkpoint/restore bank/bus/refresh state and the burst counters
-    /// (the decode memo is a pure cache and is simply invalidated).
+    /// Checkpoint/restore bank/bus/refresh state and the burst counters.
     void serialize(Ckpt& ar);
 
   private:
@@ -178,12 +175,6 @@ class DramTiming {
     unsigned slot_bits_ = 0;
     std::uint64_t slot_mask_ = 0;
     std::vector<std::uint64_t> open_keys_;
-
-    // One-entry decode memo: consecutive bursts share (channel,bank,row)
-    // for row_bytes/burst_bytes steps, and FR-FCFS fallback probes repeat
-    // addresses; both hit this instead of the full decode.
-    mutable std::uint64_t memo_burst_ = ~0ULL;
-    mutable Coord memo_coord_{0, 0, 0};
 
     std::uint64_t row_hits_ = 0;
     std::uint64_t row_misses_ = 0;

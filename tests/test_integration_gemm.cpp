@@ -156,7 +156,7 @@ TEST(IntegrationGemm, ComputeOverrideSlowsExecution)
     const GemmSpec spec{64, 64, 64, 29};
     auto cfg = SystemConfig::paper_default();
     const auto normal = run_one(cfg, spec, Placement::host);
-    cfg.accel.sa.compute_time_override_ns = 50000.0;
+    cfg.devices[0].accel.sa.compute_time_override_ns = 50000.0;
     const auto slowed = run_one(cfg, spec, Placement::host);
     EXPECT_GT(slowed.elapsed(), normal.elapsed() * 2);
 }
@@ -255,7 +255,7 @@ TEST(IntegrationGemm, FourEndpointLiveSetFitsTheNearWindow)
 TEST(IntegrationGemm, WideReuseAblationVerifies)
 {
     auto cfg = SystemConfig::paper_default();
-    cfg.accel.max_block_cols = 0; // auto-fit the widest panel
+    cfg.devices[0].accel.max_block_cols = 0; // auto-fit the widest panel
     const auto res = run_one(cfg, GemmSpec{80, 96, 64, 47}, Placement::host);
     EXPECT_TRUE(res.verified);
 }

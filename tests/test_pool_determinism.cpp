@@ -404,6 +404,65 @@ TEST(CheckpointRoundTrip, StaleFormatVersionIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointRoundTrip, ConfigHashCoversEveryTimingParameter)
+{
+    // A snapshot restores only into the SystemConfig it was taken under:
+    // changing any one timing parameter must make restore() refuse it.
+    using Tweak = std::function<void(core::SystemConfig&)>;
+    const auto base = [] {
+        core::SystemConfig cfg = core::SystemConfig::paper_default();
+        cfg.set_devmem("HBM2");
+        return cfg;
+    };
+    const std::pair<const char*, Tweak> tweaks[] = {
+        {"host tCL", [](auto& c) { c.host_mem.dram.tCL_ns = 30.0; }},
+        {"host write queue",
+         [](auto& c) { c.host_mem.write_queue_capacity = 8; }},
+        {"l1d lookup", [](auto& c) { c.l1d.lookup_latency_ns = 4.0; }},
+        {"llc lookup", [](auto& c) { c.llc.lookup_latency_ns = 20.0; }},
+        {"iocache mshrs", [](auto& c) { c.iocache.mshrs = 4; }},
+        {"membus request",
+         [](auto& c) { c.membus.request_latency_ns = 30.0; }},
+        {"smmu utlb hit", [](auto& c) { c.smmu.utlb_hit_latency_ns = 10.0; }},
+        {"smmu tlb hit", [](auto& c) { c.smmu.tlb_hit_latency_ns = 10.0; }},
+        {"systolic rows", [](auto& c) { c.devices[0].accel.sa.rows = 8; }},
+        {"systolic fill/drain",
+         [](auto& c) { c.devices[0].accel.sa.fill_drain_cycles = 64; }},
+        {"devmem tRCD",
+         [](auto& c) { c.devices[0].devmem_mem.dram.tRCD_ns = 30.0; }},
+        {"devmem xbar",
+         [](auto& c) { c.devices[0].devmem_xbar.request_latency_ns = 9.0; }},
+        {"devmem simple", [](auto& c) { c.devices[0].devmem_simple = true; }},
+        {"devmem simple latency",
+         [](auto& c) { c.devices[0].devmem_simple_mem.latency_ns = 90.0; }},
+    };
+
+    const std::string path = ::testing::TempDir() + "config_hash.ckpt";
+    {
+        core::System sys(base());
+        sys.sim().checkpoint(path);
+    }
+    {
+        core::System same(base());
+        EXPECT_NO_THROW(same.sim().restore(path));
+    }
+    for (const auto& [what, tweak] : tweaks) {
+        SCOPED_TRACE(what);
+        core::SystemConfig cfg = base();
+        tweak(cfg);
+        core::System sys(cfg);
+        try {
+            sys.sim().restore(path);
+            ADD_FAILURE() << "restore accepted a checkpoint of another config";
+        } catch (const SimError& e) {
+            EXPECT_NE(std::string(e.what()).find("different SystemConfig"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
 {
     // Hardest restore case: checkpoint inside an active link_down window

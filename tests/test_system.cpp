@@ -69,7 +69,7 @@ TEST(System, AccessorsWired)
     EXPECT_EQ(sys.accelerator().device_id(), 1);
     EXPECT_TRUE(sys.host_cpu().idle());
     EXPECT_EQ(sys.pcie_uplink().params().lanes, cfg.pcie.lanes);
-    EXPECT_EQ(sys.devmem_range().size(), cfg.devmem_bytes);
+    EXPECT_EQ(sys.devmem_range().size(), cfg.devices[0].devmem_bytes);
 }
 
 TEST(Runner, DegenerateSpecRejected)

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system_config.hh"
+#include "core/topology.hh"
 #include "mem/dram_config.hh"
 
 namespace accesys::core {
@@ -20,9 +21,14 @@ TEST(SystemConfig, PaperDefaultMatchesTableII)
     EXPECT_DOUBLE_EQ(cfg.pcie.lane_gbps, 4.0);
     EXPECT_EQ(cfg.pcie.gen, pcie::Gen::gen2);
     EXPECT_DOUBLE_EQ(cfg.rc.latency_ns, 150.0);
-    EXPECT_DOUBLE_EQ(cfg.pcie_switch.latency_ns, 50.0);
-    EXPECT_EQ(cfg.accel.sa.rows, 16u);
-    EXPECT_EQ(cfg.accel.sa.cols, 16u);
+    ASSERT_EQ(cfg.switch_tree.size(), 1u);
+    EXPECT_DOUBLE_EQ(cfg.switch_tree[0].params.latency_ns, 50.0);
+    EXPECT_FALSE(cfg.switch_tree[0].uplink.has_value()); // follows `pcie`
+    ASSERT_EQ(cfg.devices.size(), 1u);
+    EXPECT_EQ(cfg.devices[0].accel.sa.rows, 16u);
+    EXPECT_EQ(cfg.devices[0].accel.sa.cols, 16u);
+    EXPECT_EQ(cfg.devices[0].devmem_base, 0x200000000000ULL);
+    EXPECT_EQ(cfg.devices[0].devmem_mem.dram.name, "HBM2");
     EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -30,8 +36,8 @@ TEST(SystemConfig, SetPacketSizeSyncsKnobs)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_packet_size(1024);
-    EXPECT_EQ(cfg.accel.dma.request_bytes, 1024u);
-    EXPECT_EQ(cfg.accel.dma.write_bytes, 1024u);
+    EXPECT_EQ(cfg.devices[0].accel.dma.request_bytes, 1024u);
+    EXPECT_EQ(cfg.devices[0].accel.dma.write_bytes, 1024u);
     EXPECT_EQ(cfg.rc.max_payload_bytes, 1024u);
 }
 
@@ -56,10 +62,44 @@ TEST(SystemConfig, SetHostDram)
 TEST(SystemConfig, SetDevmemEnables)
 {
     auto cfg = SystemConfig::paper_default();
-    EXPECT_FALSE(cfg.enable_devmem);
+    EXPECT_FALSE(cfg.devices[0].enable_devmem);
     cfg.set_devmem("GDDR6");
-    EXPECT_TRUE(cfg.enable_devmem);
-    EXPECT_EQ(cfg.devmem_mem.dram.name, "GDDR6");
+    EXPECT_TRUE(cfg.devices[0].enable_devmem);
+    EXPECT_EQ(cfg.devices[0].devmem_mem.dram.name, "GDDR6");
+}
+
+TEST(SystemConfig, SettersReachEveryEndpoint)
+{
+    // Setters called after set_num_devices() act on every endpoint, not
+    // only on device 0.
+    auto cfg = SystemConfig::paper_default();
+    cfg.set_num_devices(3);
+    cfg.set_packet_size(64);
+    cfg.set_devmem("HBM2");
+    const ResolvedTopology plan = TopologyBuilder::resolve(cfg);
+    ASSERT_EQ(plan.devices.size(), 3u);
+    for (const ResolvedDevice& dev : plan.devices) {
+        SCOPED_TRACE(dev.name);
+        EXPECT_EQ(dev.accel.dma.request_bytes, 64u);
+        EXPECT_EQ(dev.accel.dma.write_bytes, 64u);
+        EXPECT_TRUE(dev.devmem_enabled);
+        EXPECT_FALSE(dev.devmem_simple);
+        EXPECT_EQ(dev.devmem_mem.dram.name, "HBM2");
+        EXPECT_EQ(dev.devmem.size(), cfg.devices[0].devmem_bytes);
+    }
+    EXPECT_EQ(cfg.rc.max_payload_bytes, 64u);
+}
+
+TEST(SystemConfig, SwitchUplinkFollowsPcieUnlessSet)
+{
+    auto cfg = SystemConfig::paper_default();
+    cfg.pcie.lanes = 8;
+    const std::size_t leaf = cfg.add_switch_below(0);
+    cfg.switch_tree[leaf].uplink = pcie::LinkParams{};
+    const ResolvedTopology plan = TopologyBuilder::resolve(cfg);
+    ASSERT_EQ(plan.switches.size(), 2u);
+    EXPECT_EQ(plan.switches[0].uplink->lanes, 8u);
+    EXPECT_EQ(plan.switches[1].uplink->lanes, pcie::LinkParams{}.lanes);
 }
 
 TEST(SystemConfig, ValidationCatchesBadConfigs)
@@ -69,7 +109,15 @@ TEST(SystemConfig, ValidationCatchesBadConfigs)
     EXPECT_THROW(cfg.validate(), ConfigError);
 
     cfg = SystemConfig::paper_default();
-    cfg.accel.bar0_base = 0x1000; // overlaps host DRAM
+    cfg.devices[0].accel.bar0_base = 0x1000; // overlaps host DRAM
+    EXPECT_THROW(cfg.validate(), ConfigError);
+
+    cfg = SystemConfig::paper_default();
+    cfg.devices.clear();
+    EXPECT_THROW(cfg.validate(), ConfigError);
+
+    cfg = SystemConfig::paper_default();
+    cfg.switch_tree.clear();
     EXPECT_THROW(cfg.validate(), ConfigError);
 
     cfg = SystemConfig::paper_default();
@@ -90,10 +138,11 @@ TEST(SystemConfig, DefaultAccessModeIsDc)
 TEST(SystemConfig, MatrixFlowDefaultsMatchPaper)
 {
     const auto cfg = SystemConfig::paper_default();
-    EXPECT_EQ(cfg.accel.local_buffer_bytes, 256 * kKiB);
+    const accel::MatrixFlowParams& mf = cfg.devices[0].accel;
+    EXPECT_EQ(mf.local_buffer_bytes, 256 * kKiB);
     // Streaming dataflow: one tile-column panels (16 B/cycle intensity).
-    EXPECT_EQ(cfg.accel.max_block_cols, 16u);
-    EXPECT_DOUBLE_EQ(cfg.accel.sa.freq_ghz, 1.0);
+    EXPECT_EQ(mf.max_block_cols, 16u);
+    EXPECT_DOUBLE_EQ(mf.sa.freq_ghz, 1.0);
 }
 
 TEST(SystemConfig, TransformerDesignPointsMatchFig7)
@@ -121,12 +170,13 @@ TEST(SystemConfig, TransformerDesignPointsMatchFig7)
         EXPECT_EQ(p.place, e.place);
         EXPECT_NEAR(p.cfg.pcie.effective_gbps(), e.gbps, 1e-9);
         EXPECT_EQ(p.cfg.host_mem.dram.name, e.host_dram);
-        EXPECT_EQ(p.cfg.enable_devmem, e.place == Placement::devmem);
-        EXPECT_EQ(p.cfg.accel.dma.request_bytes, e.packet);
+        EXPECT_EQ(p.cfg.devices[0].enable_devmem,
+                  e.place == Placement::devmem);
+        EXPECT_EQ(p.cfg.devices[0].accel.dma.request_bytes, e.packet);
         EXPECT_EQ(p.cfg.rc.max_payload_bytes, e.packet);
         EXPECT_NO_THROW(p.cfg.validate());
     }
-    EXPECT_EQ(points.back().cfg.devmem_mem.dram.name, "HBM2");
+    EXPECT_EQ(points.back().cfg.devices[0].devmem_mem.dram.name, "HBM2");
 }
 
 } // namespace

@@ -41,7 +41,7 @@ TEST(TopologyResolve, AutoCarvesDistinctPlacements)
 
     // Device 0 keeps the classic single-device address map and name.
     EXPECT_EQ(plan.devices[0].name, "mf");
-    EXPECT_EQ(plan.devices[0].accel.bar0_base, cfg.accel.bar0_base);
+    EXPECT_EQ(plan.devices[0].accel.bar0_base, cfg.devices[0].accel.bar0_base);
     EXPECT_EQ(plan.devices[0].requester_id(), 1u);
 
     // The window covers every BAR without touching host DRAM.
@@ -89,7 +89,7 @@ TEST(TopologyResolve, PerDeviceDevmemCarvesDisjointApertures)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_devmem("HBM2");
-    cfg.devmem_bytes = kGiB;
+    cfg.devices[0].devmem_bytes = kGiB;
     cfg.set_num_devices(3);
     const auto plan = TopologyBuilder::resolve(cfg);
     for (std::size_t i = 0; i < plan.devices.size(); ++i) {
@@ -232,7 +232,7 @@ TEST(MultiSystem, PerDeviceDevmemAllocatesAndComputes)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_devmem("HBM2");
-    cfg.devmem_bytes = kGiB;
+    cfg.devices[0].devmem_bytes = kGiB;
     cfg.set_num_devices(2);
     System sys(cfg);
 
@@ -261,17 +261,18 @@ TEST(MultiSystem, DispatchToUnknownDeviceThrows)
 
 TEST(MultiSystem, SingleDeviceLayoutUnchanged)
 {
-    // A 1-entry device list behaves exactly like the legacy fields.
-    auto legacy_cfg = SystemConfig::paper_default();
+    // set_num_devices(1) leaves device 0 exactly as paper_default() built
+    // it: same address map, same timing.
+    auto default_cfg = SystemConfig::paper_default();
     auto listed_cfg = SystemConfig::paper_default();
     listed_cfg.set_num_devices(1);
 
-    System legacy(legacy_cfg);
+    System defaulted(default_cfg);
     System listed(listed_cfg);
-    Runner r_legacy(legacy);
+    Runner r_default(defaulted);
     Runner r_listed(listed);
-    const auto a = r_legacy.run_gemm(workload::GemmSpec{32, 32, 32, 2},
-                                     Placement::host, true);
+    const auto a = r_default.run_gemm(workload::GemmSpec{32, 32, 32, 2},
+                                      Placement::host, true);
     const auto b = r_listed.run_gemm(workload::GemmSpec{32, 32, 32, 2},
                                      Placement::host, true);
     EXPECT_TRUE(a.verified);

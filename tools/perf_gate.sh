@@ -16,7 +16,9 @@
 #    cache-fill and link-credit cases, three interleaved runs per side
 #    (base, head, base, ...), each with --benchmark_repetitions=3. Fails
 #    when a case's median items/s is below half of the base's median.
-#    Only the cases both sides have are compared.
+#    Beside each side's median the table prints the min and max of its
+#    nine samples, so host drift shows as overlapping ranges. Only the
+#    cases both sides have are compared.
 #
 # Results land in build-perf-gate/: compare.txt (end to end), micro.txt
 # (micro-benches) and profile.txt (`bench_multi_accel_contention
@@ -83,11 +85,15 @@ for run in 1 2 3; do
     done
 done
 {
-    printf '%-32s %14s %14s %9s  %s\n' "case (median items/s)" base head \
-        head/base verdict
+    printf '%-32s %11s %-22s %11s %-22s %9s  %s\n' "case (items/s)" \
+        "base median" "[min, max]" "head median" "[min, max]" head/base verdict
     sort -k1,1 -k2,2 -k3,3g "$out/micro.tsv" | awk '
         function close_group() {
-            if (n) med[key] = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+            if (n) {
+                med[key] = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+                lo[key] = v[1]
+                hi[key] = v[n]
+            }
             n = 0
         }
         $1 SUBSEP $2 != key { close_group(); key = $1 SUBSEP $2; cases[$1] }
@@ -101,8 +107,9 @@ done
                 }
                 b = med[c, "base"]
                 h = med[c, "head"]
-                printf "%-32s %14.4g %14.4g %9.3f  %s\n", c, b, h, h / b,
-                       h < b / 2 ? "SLOWER" : "ok"
+                printf "%-32s %11.4g [%9.4g, %9.4g] %11.4g [%9.4g, %9.4g] %9.3f  %s\n",
+                       c, b, lo[c, "base"], hi[c, "base"], h, lo[c, "head"],
+                       hi[c, "head"], h / b, h < b / 2 ? "SLOWER" : "ok"
             }
         }' | sort
 } >"$out/micro.txt"
