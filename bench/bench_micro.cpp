@@ -3,9 +3,10 @@
 // fill/evict churn, DRAM timing, TLB, PCIe link serialization and
 // credit-gated link throughput, the systolic-array functional strip, the
 // int8 GEMM kernel under it (MACs/s per path and shape), the operand
-// fill, a verified job's fill plus result check and the device-memory
-// C-strip write-back. These guard the simulator's own performance, which
-// bounds how large a sweep the figure benches can afford.
+// fill, a verified job's fill plus result check, the device-memory
+// C-strip write-back and the serving workload's arrival generator. These
+// guard the simulator's own performance, which bounds how large a sweep
+// the figure benches can afford.
 // tools/perf_gate.sh runs the event-queue, packet-alloc, xbar, DRAM-stream,
 // cache-fill and link-credit cases against a base build on the same
 // machine.
@@ -14,6 +15,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "accel/data_mover.hh"
 #include "accel/systolic_array.hh"
@@ -30,6 +32,7 @@
 #include "sim/simulator.hh"
 #include "smmu/tlb.hh"
 #include "workload/gemm.hh"
+#include "workload/request_gen.hh"
 
 using namespace accesys;
 
@@ -522,6 +525,39 @@ void bm_pcie_serialize(benchmark::State& state)
     }
 }
 BENCHMARK(bm_pcie_serialize);
+
+void bm_request_gen(benchmark::State& state)
+{
+    // The serving_overload workload's arrivals (benchmark/leg.cc, seed 1):
+    // two tenants at 6e5 jobs/s in total over a 50 ms horizon, 30,315
+    // requests. Each iteration constructs the generator and drains every
+    // request into a buffer reused across iterations.
+    workload::RequestGenConfig g;
+    g.seed = 1;
+    g.horizon_ns = 5e7;
+    workload::TenantSpec interactive;
+    interactive.name = "interactive";
+    interactive.rate_jobs_per_s = 4e5;
+    interactive.mix = {workload::GemmSpec{16, 16, 16},
+                       workload::GemmSpec{32, 32, 32}};
+    workload::TenantSpec batch;
+    batch.name = "batch";
+    batch.rate_jobs_per_s = 2e5;
+    batch.mix = {workload::GemmSpec{48, 48, 48}};
+    g.tenants = {interactive, batch};
+    std::vector<workload::Request> arrivals;
+    std::uint64_t requests = 0;
+    for (auto _ : state) {
+        Simulator sim;
+        workload::RequestGen gen(sim, g);
+        gen.take_until(kMaxTick, arrivals);
+        requests += arrivals.size();
+        benchmark::DoNotOptimize(arrivals.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+}
+BENCHMARK(bm_request_gen);
 
 } // namespace
 

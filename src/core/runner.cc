@@ -115,6 +115,10 @@ struct Runner::Serve {
     const ServingConfig& scfg;
     const std::vector<workload::TenantSpec>& tenants;
     std::vector<Mem> mem;
+    /// Reused by every admission: this round's arrivals and the queued
+    /// jobs per tenant, so admission allocates nothing per round.
+    std::vector<workload::Request> arrivals;
+    std::vector<std::size_t> queued;
 
     /// Deadline shedding (policy deadline_aware): `id`'s SLO is already
     /// blown given the observed service time.
@@ -212,24 +216,25 @@ struct Runner::Serve {
     {
         Rounds& r = rn.rounds_;
         ServingStats& st = *rn.serving_;
-        std::vector<std::size_t> queued(tenants.size(), 0);
+        queued.assign(tenants.size(), 0);
         for (const std::uint64_t id : r.queue) {
             ++queued[r.jobs[id].tenant];
         }
-        for (const workload::Request* q : gen.take_until(t)) {
-            ensure(r.jobs.size() == q->id, "request ids must be dense");
+        gen.take_until(t, arrivals);
+        for (const workload::Request& q : arrivals) {
+            ensure(r.jobs.size() == q.id, "request ids must be dense");
             ServedJob j;
-            j.id = q->id;
-            j.tenant = q->tenant;
-            j.spec = q->spec;
-            j.arrival = q->arrival;
+            j.id = q.id;
+            j.tenant = q.tenant;
+            j.spec = q.spec;
+            j.arrival = q.arrival;
             r.jobs.push_back(std::move(j));
-            ServingStats::Tenant& ts = *st.tenants[q->tenant];
+            ServingStats::Tenant& ts = *st.tenants[q.tenant];
             ++st.offered;
             ++ts.offered;
-            const workload::TenantSpec& tn = tenants[q->tenant];
+            const workload::TenantSpec& tn = tenants[q.tenant];
             const bool over_quota =
-                tn.queue_quota > 0 && queued[q->tenant] >= tn.queue_quota;
+                tn.queue_quota > 0 && queued[q.tenant] >= tn.queue_quota;
             const bool full = r.queue.size() >= scfg.queue_capacity;
             if (over_quota ||
                 (full && scfg.policy != ShedPolicy::shed_oldest)) {
@@ -246,8 +251,8 @@ struct Runner::Serve {
             }
             ++st.admitted;
             ++ts.admitted;
-            r.queue.push_back(q->id);
-            ++queued[q->tenant];
+            r.queue.push_back(q.id);
+            ++queued[q.tenant];
         }
     }
 
@@ -423,28 +428,23 @@ ServingResult Runner::serve(workload::RequestGen& gen,
         return res;
     }
 
+    // The ledger gets one entry per offered request: size it once.
+    r.jobs.reserve(gen.total());
     // Per-endpoint operand slots sized for the largest shape anywhere in
-    // the schedule: operand memory is bounded no matter how long the
+    // the stream: operand memory is bounded no matter how long the
     // overload lasts (the admission queue holds ids, not buffers).
-    std::uint64_t max_a = 0;
-    std::uint64_t max_b = 0;
-    std::uint64_t max_c = 0;
-    for (const workload::Request& q : gen.schedule()) {
-        max_a = std::max(max_a, q.spec.a_bytes());
-        max_b = std::max(max_b, q.spec.b_bytes());
-        max_c = std::max(max_c, q.spec.c_bytes());
-    }
-    Serve srv{*this, gen, scfg, tenants, {}};
+    const workload::OperandBytes& max = gen.largest();
+    Serve srv{*this, gen, scfg, tenants, {}, {}, {}};
     srv.mem.resize(n_eps);
     for (Serve::Mem& m : srv.mem) {
-        m.a = sys.alloc_host(max_a);
-        m.b = sys.alloc_host(max_b);
-        m.c = sys.alloc_host(max_c);
+        m.a = sys.alloc_host(max.a);
+        m.b = sys.alloc_host(max.b);
+        m.c = sys.alloc_host(max.c);
         m.flag = sys.alloc_host(64);
         m.desc = sys.alloc_host(64);
-        sys.map_host_pages(m.a, max_a);
-        sys.map_host_pages(m.b, max_b);
-        sys.map_host_pages(m.c, max_c);
+        sys.map_host_pages(m.a, max.a);
+        sys.map_host_pages(m.b, max.b);
+        sys.map_host_pages(m.c, max.c);
         sys.map_host_pages(m.flag, 8);
         sys.map_host_pages(m.desc, sizeof(accel::GemmCommand));
     }

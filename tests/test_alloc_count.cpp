@@ -5,14 +5,18 @@
 // the matrix size. Filling a GEMM's operands into existing memory, a check
 // of its C through a checker that has already checked a shape as large,
 // and a steady-state batch submit to either data mover must not allocate
-// at all, and serve() must not allocate per verified job. This binary
-// replaces the global operator new with a counting one to check that.
+// at all, and serve() must not allocate per verified job. A RequestGen
+// holds no per-request state, so its construction does not grow with the
+// horizon and draining it does not allocate, and serve() sizes its ledger
+// once. This binary replaces the global operator new with a counting one
+// to check that.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "accel/data_mover.hh"
 #include "core/runner.hh"
@@ -23,11 +27,21 @@
 
 namespace {
 std::uint64_t g_allocs = 0; // the simulator is single-threaded
+std::uint64_t g_alloc_bytes = 0;
+std::size_t g_watch_size = 0;     ///< allocation size to count, if nonzero
+std::uint64_t g_watch_hits = 0;   ///< allocations of exactly that size
+
+void count_alloc(std::size_t n)
+{
+    ++g_allocs;
+    g_alloc_bytes += n;
+    g_watch_hits += g_watch_size != 0 && n == g_watch_size;
+}
 } // namespace
 
 void* operator new(std::size_t n)
 {
-    ++g_allocs;
+    count_alloc(n);
     if (void* p = std::malloc(n == 0 ? 1 : n)) {
         return p;
     }
@@ -38,7 +52,7 @@ void* operator new(std::size_t n)
 // every form the library may pair with the deletes below is malloc-backed.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept
 {
-    ++g_allocs;
+    count_alloc(n);
     return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -130,16 +144,14 @@ TEST(GemmCheck, ReusedCheckerDoesNotAllocate)
     EXPECT_EQ(smaller, 0u);
 }
 
-/// Allocations inside one serve() of an overloaded two-tenant Poisson
-/// schedule on a fresh 4-endpoint system; `completed` gets the jobs done.
-std::uint64_t serve_allocs(bool verify, std::uint64_t& completed)
+/// Two tenants at 6e5 jobs/s in total over `horizon_ns`: the arrivals of
+/// the benchmark's serving_overload workload, about 1.5x what four
+/// endpoints serve.
+workload::RequestGenConfig overload_arrivals(double horizon_ns)
 {
-    core::SystemConfig cfg = core::SystemConfig::paper_default();
-    cfg.set_num_devices(4);
-    core::System sys(cfg);
     workload::RequestGenConfig g;
     g.seed = 5;
-    g.horizon_ns = 1e6;
+    g.horizon_ns = horizon_ns;
     workload::TenantSpec interactive;
     interactive.name = "interactive";
     interactive.rate_jobs_per_s = 4e5;
@@ -151,7 +163,61 @@ std::uint64_t serve_allocs(bool verify, std::uint64_t& completed)
     batch.mix = {workload::GemmSpec{48, 48, 48}};
     g.tenants.push_back(interactive);
     g.tenants.push_back(batch);
-    workload::RequestGen gen(sys.sim(), g);
+    return g;
+}
+
+/// Bytes allocated by constructing a RequestGen of overload_arrivals().
+std::uint64_t request_gen_bytes(double horizon_ns)
+{
+    Simulator sim;
+    const workload::RequestGenConfig g = overload_arrivals(horizon_ns);
+    const std::uint64_t before = g_alloc_bytes;
+    const workload::RequestGen gen(sim, g);
+    const std::uint64_t bytes = g_alloc_bytes - before;
+    EXPECT_GT(gen.total(), static_cast<std::uint64_t>(horizon_ns * 5e-4));
+    return bytes;
+}
+
+TEST(RequestGenMemory, ConstructionDoesNotGrowWithHorizon)
+{
+    // 1e6 ns offers ~600 requests, 1e7 ns ~6,000: a per-request schedule
+    // would show up as hundreds of kilobytes.
+    const std::uint64_t short_run = request_gen_bytes(1e6);
+    const std::uint64_t long_run = request_gen_bytes(1e7);
+    ::testing::Test::RecordProperty("bytes", static_cast<int>(short_run));
+    EXPECT_EQ(short_run, long_run);
+}
+
+TEST(RequestGenMemory, DrainingDoesNotAllocate)
+{
+    // Fire every arrival event and consume every request, one microsecond
+    // at a time, into a buffer the caller sized once.
+    Simulator sim;
+    workload::RequestGen gen(sim, overload_arrivals(1e6));
+    std::vector<workload::Request> arrivals;
+    arrivals.reserve(gen.total());
+    sim.startup();
+    const std::uint64_t before = g_allocs;
+    std::uint64_t taken = 0;
+    for (Tick t = 0; !gen.exhausted(); t += kTicksPerUs) {
+        (void)sim.run(t);
+        gen.take_until(t, arrivals);
+        taken += arrivals.size();
+    }
+    (void)sim.run();
+    EXPECT_EQ(g_allocs - before, 0u);
+    EXPECT_EQ(taken, gen.total());
+    EXPECT_EQ(gen.fired(), gen.total());
+}
+
+/// Allocations inside one serve() of an overloaded two-tenant Poisson
+/// schedule on a fresh 4-endpoint system; `completed` gets the jobs done.
+std::uint64_t serve_allocs(bool verify, std::uint64_t& completed)
+{
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    core::System sys(cfg);
+    workload::RequestGen gen(sys.sim(), overload_arrivals(1e6));
     core::ServingConfig scfg;
     scfg.policy = core::ShedPolicy::shed_oldest;
     scfg.queue_capacity = 8;
@@ -186,6 +252,26 @@ TEST(ServeVerification, NoPerJobAllocation)
     ASSERT_EQ(completed, plain_completed);
     ASSERT_GT(completed, 150u);
     EXPECT_LT(verified, plain + 16) << completed << " jobs completed";
+}
+
+TEST(ServeLedger, AllocatedOnceAtItsFinalSize)
+{
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    core::System sys(cfg);
+    workload::RequestGen gen(sys.sim(), overload_arrivals(1e6));
+    core::ServingConfig scfg;
+    scfg.policy = core::ShedPolicy::shed_oldest;
+    scfg.queue_capacity = 8;
+    core::Runner runner(sys);
+    g_watch_size = gen.total() * sizeof(core::ServedJob);
+    g_watch_hits = 0;
+    const core::ServingResult res = runner.serve(gen, scfg);
+    g_watch_size = 0;
+    ASSERT_TRUE(res.accounted());
+    EXPECT_EQ(res.offered, gen.total());
+    EXPECT_EQ(res.jobs.capacity(), res.offered);
+    EXPECT_EQ(g_watch_hits, 1u) << "the ledger must be allocated once";
 }
 
 /// One C strip: 16 rows of 64 B from staging at `src` to a 3 KiB stride at

@@ -14,12 +14,16 @@
 //   * the least-loaded tie-break regression (lowest endpoint index).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/runner.hh"
+#include "sim/random.hh"
 #include "test_util.hh"
 #include "workload/request_gen.hh"
 
@@ -353,47 +357,57 @@ TEST(Serving, PoissonOverloadRerunIsBitIdentical)
     EXPECT_EQ(first.stats_json, rerun.stats_json);
 }
 
-TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
-{
-    // Checkpoint in the middle of an overloaded serve — a full admission
-    // queue, an in-flight dispatch round, a partially-drained arrival
-    // schedule — and resume in a fresh process-equivalent System. The
-    // "runner.rounds" hook must round-trip the queue, ledger, health
-    // table and flag sequences so the resumed run finishes byte-identical
-    // to the straight run.
-    const ServeSnapshot straight = run_poisson_overload();
-    ASSERT_FALSE(straight.res.checkpointed);
-    const Tick mid = straight.end_tick / 2;
-    ASSERT_GT(mid, 0u);
+/// Where a generator's two cursors stood when a checkpoint was written.
+struct SavedCursors {
+    std::uint64_t fired = 0;
+    std::uint64_t drained = 0;
+};
 
+/// Serve `gcfg` on four endpoints under shed_oldest, once straight and once
+/// checkpointed at `frac` of the straight run's end tick and resumed in a
+/// fresh process-equivalent System. The "runner.rounds" hook must
+/// round-trip the queue, ledger, health table and flag sequences, and the
+/// generator its two cursors, so the resumed run finishes byte-identical
+/// to the straight run. Returns the cursors at the save.
+SavedCursors expect_round_trip(const RequestGenConfig& gcfg, double frac)
+{
     const std::string path = ::testing::TempDir() + "serving_mid.ckpt";
-    {
+    SavedCursors cursors;
+    // One serve in a fresh System: restored from `path` when `restore`,
+    // checkpointed to it at `save_at` when that is not kMaxTick.
+    const auto serve_once = [&](bool restore, Tick save_at) {
         auto cfg = SystemConfig::paper_default();
         cfg.set_num_devices(4);
         System sys(cfg);
-        RequestGen gen(sys.sim(), poisson_overload_config());
+        RequestGen gen(sys.sim(), gcfg);
         ServingConfig scfg;
         scfg.policy = ShedPolicy::shed_oldest;
         scfg.queue_capacity = 8;
         Runner runner(sys);
-        sys.sim().request_checkpoint_at(path, mid);
-        const ServingResult res = runner.serve(gen, scfg);
-        ASSERT_TRUE(res.checkpointed)
-            << "serve finished at " << res.end
-            << " before the checkpoint tick " << mid;
-        EXPECT_GT(res.offered, 0u) << "overload must be underway at save";
-    }
+        if (restore) {
+            runner.set_restore_path(path);
+        }
+        if (save_at != kMaxTick) {
+            sys.sim().request_checkpoint_at(path, save_at);
+        }
+        ServeSnapshot snap = snapshot(sys, runner.serve(gen, scfg));
+        cursors = {gen.fired(), gen.drained()};
+        return snap;
+    };
+    const ServeSnapshot straight = serve_once(false, kMaxTick);
+    EXPECT_FALSE(straight.res.checkpointed);
+    EXPECT_GT(straight.res.shed, 0u) << "scenario must actually overload";
 
-    auto cfg = SystemConfig::paper_default();
-    cfg.set_num_devices(4);
-    System sys(cfg);
-    RequestGen gen(sys.sim(), poisson_overload_config());
-    ServingConfig scfg;
-    scfg.policy = ShedPolicy::shed_oldest;
-    scfg.queue_capacity = 8;
-    Runner runner(sys);
-    runner.set_restore_path(path);
-    const ServeSnapshot resumed = snapshot(sys, runner.serve(gen, scfg));
+    const Tick at =
+        static_cast<Tick>(static_cast<double>(straight.end_tick) * frac);
+    const ServeSnapshot saved = serve_once(false, at);
+    const SavedCursors at_save = cursors;
+    EXPECT_TRUE(saved.res.checkpointed)
+        << "serve finished at " << saved.res.end
+        << " before the checkpoint tick " << at;
+    EXPECT_GT(saved.res.offered, 0u) << "overload must be underway at save";
+
+    const ServeSnapshot resumed = serve_once(true, kMaxTick);
     std::remove(path.c_str());
     EXPECT_TRUE(resumed.res.accounted());
     EXPECT_EQ(straight.end_tick, resumed.end_tick);
@@ -401,6 +415,41 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
     EXPECT_EQ(straight.stats_json, resumed.stats_json);
     EXPECT_EQ(straight.res.completed, resumed.res.completed);
     EXPECT_EQ(straight.res.shed, resumed.res.shed);
+    return at_save;
+}
+
+TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
+{
+    // Checkpoint in the middle of an overloaded serve — a full admission
+    // queue, an in-flight dispatch round, a partially-drained arrival
+    // stream.
+    const SavedCursors c = expect_round_trip(poisson_overload_config(), 0.5);
+    EXPECT_GT(c.drained, 0u);
+}
+
+TEST(Serving, CheckpointWithArrivalsFiredAheadOfAdmission)
+{
+    // At this tick, arrival events have fired for requests the serve loop
+    // has not yet taken: the restore must replay the two cursors to two
+    // different positions.
+    const SavedCursors c =
+        expect_round_trip(poisson_overload_config(), 0.37);
+    EXPECT_GT(c.fired, c.drained);
+}
+
+TEST(Serving, TraceModeCheckpointRoundTripsBitIdentical)
+{
+    // 48 arrivals 500 ns apart: they span the run, so the checkpoint
+    // lands with arrivals still to fire.
+    std::ostringstream body;
+    for (int i = 0; i < 48; ++i) {
+        body << (100 + 500 * i) << " 0 32 32 32\n";
+    }
+    const std::string trace = write_trace("serving_ckpt.trace", body.str());
+    const SavedCursors c = expect_round_trip(burst_config(trace), 0.2);
+    std::remove(trace.c_str());
+    EXPECT_GT(c.fired, c.drained);
+    EXPECT_GT(c.drained, 0u);
 }
 
 TEST(Serving, TraceParsingSkipsCommentsAndValidates)
@@ -425,15 +474,288 @@ TEST(Serving, TraceParsingSkipsCommentsAndValidates)
     std::remove(trace.c_str());
 
     ASSERT_EQ(gen.total(), 2u);
-    // Merged schedule is arrival-ordered with dense ids.
-    EXPECT_EQ(gen.schedule()[0].arrival, ticks_from_ns(50.0));
-    EXPECT_EQ(gen.schedule()[0].tenant, 1u);
-    EXPECT_EQ(gen.schedule()[0].id, 0u);
-    EXPECT_EQ(gen.schedule()[1].arrival, ticks_from_ns(100.0));
-    EXPECT_EQ(gen.schedule()[1].tenant, 0u);
-    EXPECT_EQ(gen.schedule()[1].spec.m, 8u);
+    EXPECT_EQ(gen.largest().a, 16u * 4u);
+    EXPECT_EQ(gen.largest().b, 8u * 8u);
+    EXPECT_EQ(gen.largest().c, 16u * 8u * 4u);
+    // The merged stream is arrival-ordered with dense ids.
+    std::vector<workload::Request> q;
+    gen.take_until(kMaxTick, q);
+    ASSERT_EQ(q.size(), 2u);
+    EXPECT_TRUE(gen.exhausted());
+    EXPECT_EQ(q[0].arrival, ticks_from_ns(50.0));
+    EXPECT_EQ(q[0].tenant, 1u);
+    EXPECT_EQ(q[0].id, 0u);
+    EXPECT_EQ(q[1].arrival, ticks_from_ns(100.0));
+    EXPECT_EQ(q[1].tenant, 0u);
+    EXPECT_EQ(q[1].spec.m, 8u);
     // Per-job derived seeds decorrelate operand data.
-    EXPECT_NE(gen.schedule()[0].spec.seed, gen.schedule()[1].spec.seed);
+    EXPECT_NE(q[0].spec.seed, q[1].spec.seed);
+}
+
+/// The SimError message of constructing a one-tenant trace-mode generator
+/// over `body`; empty when construction succeeds.
+std::string trace_error(const std::string& body)
+{
+    const std::string trace = write_trace("serving_bad.trace", body);
+    Simulator sim;
+    std::string what;
+    try {
+        RequestGen gen(sim, burst_config(trace));
+    } catch (const SimError& e) {
+        what = e.what();
+    }
+    std::remove(trace.c_str());
+    return what;
+}
+
+TEST(Serving, TraceParsingRejectsMalformedLines)
+{
+    // Only blank and comment lines are skipped; each rejection names the
+    // offending line.
+    EXPECT_EQ(trace_error("# c\n\n  \t \n100 0 16 16 16\n"), "");
+    const auto rejects = [](const std::string& line) {
+        std::string body = "# header\n\n100 0 8 8 8\n";
+        body += line;
+        body += '\n';
+        const std::string what = trace_error(body);
+        EXPECT_NE(what.find("trace line 4"), std::string::npos)
+            << "'" << line << "': " << what;
+    };
+    rejects("x 0 16 16 16");                  // not a number
+    rejects("inf 0 16 16 16");                // not finite
+    rejects("nan 0 16 16 16");                // not finite
+    rejects("100 0 16 16 16 junk");           // trailing field
+    rejects("100 0 16 16");                   // missing field
+    rejects("100 0 -16 16 16");               // signed shape
+    rejects("100 0 16 16 0");                 // degenerate shape
+    rejects("100 0 16 16 4294967296");        // shape past uint32
+    rejects("100 1 16 16 16");                // unknown tenant
+    rejects("-5 0 16 16 16");                 // negative arrival
+    rejects("1e30 0 16 16 16");               // overflows the tick counter
+    rejects("100 0 16x 16 16");               // trailing junk in a field
+}
+
+TEST(Serving, PoissonHorizonMustFitTheTickCounter)
+{
+    RequestGenConfig gcfg;
+    TenantSpec t;
+    t.name = "t";
+    t.rate_jobs_per_s = 1e5;
+    t.mix = {GemmSpec{8, 8, 8}};
+    gcfg.tenants.push_back(t);
+    gcfg.horizon_ns = 1.8e16; // 1.8e19 ticks: fits below 2^64
+    EXPECT_NO_THROW(gcfg.validate());
+    gcfg.horizon_ns = 1.9e16; // 1.9e19 ticks: does not
+    EXPECT_THROW(gcfg.validate(), SimError);
+    gcfg.horizon_ns = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(gcfg.validate(), SimError);
+    gcfg.horizon_ns = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(gcfg.validate(), SimError);
+    gcfg.horizon_ns = 1e4;
+    gcfg.tenants[0].rate_jobs_per_s =
+        std::numeric_limits<double>::infinity();
+    EXPECT_THROW(gcfg.validate(), SimError);
+}
+
+/// The stored-schedule algorithm RequestGen replaced, kept as the oracle:
+/// every tenant's draws up to the horizon (or every trace line), one
+/// stable_sort by (arrival, tenant), the cap, then dense ids and the
+/// per-job seed spread.
+std::vector<workload::Request> reference_schedule(
+    const RequestGenConfig& cfg, std::vector<workload::Request> trace)
+{
+    std::vector<workload::Request> sched = std::move(trace);
+    if (cfg.mode == RequestGenConfig::Mode::poisson) {
+        for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
+            const TenantSpec& tenant = cfg.tenants[t];
+            Rng rng(cfg.seed + 0x9E3779B97F4A7C15ULL * (t + 1));
+            const double mean_gap_ns = 1e9 / tenant.rate_jobs_per_s;
+            double t_ns = 0.0;
+            std::uint64_t count = 0;
+            for (;;) {
+                const double u = rng.uniform();
+                t_ns += workload::det_neg_log(1.0 - u) * mean_gap_ns;
+                if (t_ns >= cfg.horizon_ns) {
+                    break;
+                }
+                workload::Request r;
+                r.tenant = static_cast<std::uint32_t>(t);
+                r.arrival = ticks_from_ns(t_ns);
+                r.spec = tenant.mix[count % tenant.mix.size()];
+                ++count;
+                sched.push_back(r);
+            }
+        }
+    }
+    std::stable_sort(sched.begin(), sched.end(),
+                     [](const workload::Request& a,
+                        const workload::Request& b) {
+                         return a.arrival != b.arrival
+                                    ? a.arrival < b.arrival
+                                    : a.tenant < b.tenant;
+                     });
+    if (cfg.max_requests > 0 && sched.size() > cfg.max_requests) {
+        sched.resize(cfg.max_requests);
+    }
+    for (std::size_t i = 0; i < sched.size(); ++i) {
+        sched[i].id = i;
+        std::uint64_t z = cfg.seed + 0x9E3779B97F4A7C15ULL * (i + 1);
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        sched[i].spec.seed = z ^ (z >> 31);
+    }
+    return sched;
+}
+
+/// Walk `gen`'s two cursors in a random interleaving — arrival events
+/// fired by running the simulator to a random tick, consumption by
+/// take_until() at another — and check both against `ref`.
+void expect_stream_matches(Simulator& sim, RequestGen& gen,
+                           const std::vector<workload::Request>& ref,
+                           Rng& pick)
+{
+    ASSERT_EQ(gen.total(), ref.size());
+    workload::OperandBytes largest;
+    for (const workload::Request& q : ref) {
+        largest.a = std::max(largest.a, q.spec.a_bytes());
+        largest.b = std::max(largest.b, q.spec.b_bytes());
+        largest.c = std::max(largest.c, q.spec.c_bytes());
+    }
+    EXPECT_EQ(gen.largest().a, largest.a);
+    EXPECT_EQ(gen.largest().b, largest.b);
+    EXPECT_EQ(gen.largest().c, largest.c);
+
+    const Tick end = ref.empty() ? 1 : ref.back().arrival + 1;
+    const auto arrived_by = [&](Tick t) {
+        return static_cast<std::uint64_t>(
+            std::upper_bound(ref.begin(), ref.end(), t,
+                             [](Tick v, const workload::Request& q) {
+                                 return v < q.arrival;
+                             }) -
+            ref.begin());
+    };
+    std::vector<workload::Request> got;
+    Tick fire_to = 0;
+    Tick drain_to = 0;
+    while (fire_to < end || drain_to < end) {
+        const Tick step = 1 + pick.below(end / 8 + 2);
+        if (pick.below(2) == 0 && fire_to < end) {
+            fire_to = std::min(end, fire_to + step);
+            (void)sim.run(fire_to);
+            ASSERT_EQ(gen.fired(), arrived_by(fire_to));
+        } else if (drain_to < end) {
+            drain_to = std::min(end, drain_to + step);
+            const std::uint64_t from = gen.drained();
+            ASSERT_EQ(gen.next_arrival_tick(),
+                      from < ref.size() ? ref[from].arrival : kMaxTick);
+            gen.take_until(drain_to, got);
+            ASSERT_EQ(gen.drained(), arrived_by(drain_to));
+            ASSERT_EQ(got.size(), gen.drained() - from);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                const workload::Request& want = ref[from + i];
+                const workload::Request& q = got[i];
+                ASSERT_EQ(q.id, want.id);
+                ASSERT_EQ(q.tenant, want.tenant) << "request " << q.id;
+                ASSERT_EQ(q.arrival, want.arrival) << "request " << q.id;
+                ASSERT_EQ(q.spec.m, want.spec.m) << "request " << q.id;
+                ASSERT_EQ(q.spec.n, want.spec.n) << "request " << q.id;
+                ASSERT_EQ(q.spec.k, want.spec.k) << "request " << q.id;
+                ASSERT_EQ(q.spec.seed, want.spec.seed)
+                    << "request " << q.id;
+            }
+        }
+    }
+    EXPECT_TRUE(gen.exhausted());
+    EXPECT_EQ(gen.fired(), ref.size());
+    EXPECT_EQ(gen.next_arrival_tick(), kMaxTick);
+}
+
+TEST(RequestGenRandomized, MatchesStoredScheduleReference)
+{
+    Rng pick(2024);
+    std::uint64_t cross_tenant_ties = 0;
+    for (int iter = 0; iter < 120; ++iter) {
+        RequestGenConfig cfg;
+        cfg.seed = pick.next();
+        const std::size_t n_tenants = 1 + pick.below(4);
+        // Equal rates at a mean gap of ~one tick force same-tick ties,
+        // across tenants and within one; the others spread arrivals out.
+        const bool tie_heavy = pick.below(3) == 0;
+        const bool equal_rates = tie_heavy || pick.below(2) == 0;
+        const double base_rate = tie_heavy ? 1e15 : 1e6 * (1 + pick.below(9));
+        for (std::size_t t = 0; t < n_tenants; ++t) {
+            TenantSpec spec;
+            spec.name = "t";
+            spec.name += std::to_string(t);
+            spec.rate_jobs_per_s =
+                equal_rates ? base_rate
+                            : base_rate * (0.25 + 0.25 * pick.below(8));
+            const std::size_t shapes = 1 + pick.below(3);
+            for (std::size_t i = 0; i < shapes; ++i) {
+                spec.mix.push_back(GemmSpec{
+                    static_cast<std::uint32_t>(1 + pick.below(64)),
+                    static_cast<std::uint32_t>(1 + pick.below(64)),
+                    static_cast<std::uint32_t>(1 + pick.below(64))});
+            }
+            cfg.tenants.push_back(spec);
+        }
+        // ~0-200 arrivals per tenant.
+        cfg.horizon_ns = 1e9 / base_rate * static_cast<double>(
+                                                 1 + pick.below(200));
+        const std::vector<workload::Request> uncapped =
+            reference_schedule(cfg, {});
+        if (pick.below(2) == 0 && !uncapped.empty()) {
+            cfg.max_requests = 1 + pick.below(uncapped.size());
+        }
+        const std::vector<workload::Request> ref =
+            reference_schedule(cfg, {});
+        for (std::size_t i = 1; i < ref.size(); ++i) {
+            cross_tenant_ties += ref[i].arrival == ref[i - 1].arrival &&
+                                 ref[i].tenant != ref[i - 1].tenant;
+        }
+        SCOPED_TRACE(::testing::Message() << "iteration " << iter);
+        Simulator sim;
+        RequestGen gen(sim, cfg);
+        expect_stream_matches(sim, gen, ref, pick);
+        if (::testing::Test::HasFatalFailure()) {
+            return;
+        }
+    }
+    EXPECT_GT(cross_tenant_ties, 25u) << "the configs must force ties";
+}
+
+TEST(RequestGenRandomized, TraceMatchesStoredScheduleReference)
+{
+    // Arrivals drawn from a handful of ticks: many same-(tick, tenant)
+    // lines, which must keep their file order.
+    Rng pick(77);
+    for (int iter = 0; iter < 40; ++iter) {
+        RequestGenConfig cfg = burst_config("");
+        cfg.seed = pick.next();
+        cfg.tenants.push_back(TenantSpec{"second", 0.0, {}, 0.0, 0});
+        std::ostringstream body;
+        std::vector<workload::Request> lines(1 + pick.below(60));
+        for (workload::Request& q : lines) {
+            q.arrival = ticks_from_ns(static_cast<double>(pick.below(6)));
+            q.tenant = static_cast<std::uint32_t>(pick.below(2));
+            q.spec = GemmSpec{static_cast<std::uint32_t>(1 + pick.below(64)),
+                              static_cast<std::uint32_t>(1 + pick.below(64)),
+                              static_cast<std::uint32_t>(1 + pick.below(64))};
+            body << ticks_to_ns(q.arrival) << ' ' << q.tenant << ' '
+                 << q.spec.m << ' ' << q.spec.n << ' ' << q.spec.k << '\n';
+        }
+        if (pick.below(2) == 0) {
+            cfg.max_requests = 1 + pick.below(lines.size());
+        }
+        cfg.trace_path = write_trace("serving_random.trace", body.str());
+        SCOPED_TRACE(::testing::Message() << "iteration " << iter);
+        Simulator sim;
+        RequestGen gen(sim, cfg);
+        std::remove(cfg.trace_path.c_str());
+        expect_stream_matches(sim, gen, reference_schedule(cfg, lines), pick);
+        if (::testing::Test::HasFatalFailure()) {
+            return;
+        }
+    }
 }
 
 TEST(Serving, DetNegLogMatchesLnOnExactPoints)
