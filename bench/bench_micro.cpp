@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrates:
 // event-queue throughput, packet/TLP pool churn, xbar forwarding, cache
 // fill/evict churn, DRAM timing, TLB, PCIe link serialization and
-// credit-gated link throughput, the systolic-array functional strip, the
-// int8 GEMM kernel under it (MACs/s per path and shape), the operand
-// fill, a verified job's fill plus result check, the device-memory
-// C-strip write-back and the serving workload's arrival generator. These
-// guard the simulator's own performance, which bounds how large a sweep
-// the figure benches can afford.
+// credit-gated link throughput, the PCIe staging path (delay stages and
+// egress queues of an RC, a switch and two endpoints under credit
+// pressure), the systolic-array functional strip, the int8 GEMM kernel
+// under it (MACs/s per path and shape), the operand fill, a verified
+// job's fill plus result check, the device-memory C-strip write-back and
+// the serving workload's arrival generator. These guard the simulator's
+// own performance, which bounds how large a sweep the figure benches can
+// afford.
 // tools/perf_gate.sh runs the event-queue, packet-alloc, xbar, DRAM-stream,
 // cache-fill and link-credit cases against a base build on the same
 // machine.
@@ -15,6 +17,8 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/data_mover.hh"
@@ -25,7 +29,10 @@
 #include "mem/packet.hh"
 #include "mem/traffic_gen.hh"
 #include "mem/xbar.hh"
+#include "pcie/endpoint.hh"
 #include "pcie/link.hh"
+#include "pcie/root_complex.hh"
+#include "pcie/switch.hh"
 #include "pcie/tlp.hh"
 #include "sim/gemm_kernel.hh"
 #include "sim/random.hh"
@@ -283,6 +290,128 @@ void bm_link_credit(benchmark::State& state)
                             static_cast<std::int64_t>(kTlps));
 }
 BENCHMARK(bm_link_credit);
+
+/// Endpoint streaming alternating 256 B MWr and MRd TLPs at host memory,
+/// refilled from tx_ready(), read completions and its SentHooks.
+class StreamDevice final : public pcie::Endpoint {
+  public:
+    StreamDevice(Simulator& sim, std::string name, std::uint16_t id,
+                 Addr bar, std::uint64_t target)
+        : Endpoint(sim, std::move(name), pcie::EndpointParams{id, 20.0},
+                   {mem::AddrRange::with_size(bar, 64 * kKiB)}),
+          target_(target)
+    {
+    }
+
+    void pump()
+    {
+        while (issued_ < target_ && egress_depth() < kEgressDepth) {
+            const bool read = (issued_ & 1) != 0;
+            if (read && reads_out_ >= kReadTags) {
+                return; // a completion pumps again
+            }
+            const Addr addr = 0x100000 + (issued_ % 1024) * 256 +
+                              Addr{device_id()} * 0x100000;
+            auto tlp = read ? pcie::make_mem_read(
+                                  addr, 256,
+                                  static_cast<std::uint8_t>(next_tag_++ %
+                                                            kReadTags),
+                                  device_id())
+                            : pcie::make_mem_write(addr, 256, device_id());
+            reads_out_ += read ? 1 : 0;
+            ++issued_;
+            send_tlp(std::move(tlp), pcie::SentHook{&on_sent, this, 0});
+        }
+    }
+
+    [[nodiscard]] bool done() const noexcept
+    {
+        return sent_ == target_ && reads_out_ == 0;
+    }
+
+  protected:
+    std::uint64_t mmio_read(Addr, std::uint32_t) override { return 0; }
+    void mmio_write(Addr, std::uint32_t, std::uint64_t) override {}
+    void recv_dma_completion(const pcie::Tlp& cpl) override
+    {
+        if (cpl.is_last) {
+            --reads_out_;
+            pump();
+        }
+    }
+    void tx_ready() override { pump(); }
+
+  private:
+    static constexpr std::size_t kEgressDepth = 8;
+    static constexpr std::uint64_t kReadTags = 32;
+
+    static void on_sent(void* self, std::uint32_t /*arg*/)
+    {
+        ++static_cast<StreamDevice*>(self)->sent_;
+    }
+
+    std::uint64_t target_;
+    std::uint64_t issued_ = 0;
+    std::uint64_t sent_ = 0;
+    std::uint64_t reads_out_ = 0;
+    std::uint64_t next_tag_ = 0;
+};
+
+void bm_pcie_stage(benchmark::State& state)
+{
+    // The shared PCIe staging path at its own layer: two endpoints behind
+    // one switch stream alternating 256 B MWr/MRd TLPs through a root
+    // complex into a SimpleMem. Both downstream links feed one uplink, so
+    // the switch's upstream egress runs credit-starved and holds ingress
+    // credits, which backs up each endpoint's egress queue; read
+    // completions return through the RC's egress queue and every node's
+    // delay stage. Items are TLPs issued by the endpoints.
+    constexpr std::uint64_t kPerDevice = 20'000;
+    constexpr Addr kBarBase = 0x100000000000ULL;
+    for (auto _ : state) {
+        Simulator sim;
+        pcie::RcParams rc_params;
+        rc_params.device_addresses_virtual = false;
+        pcie::RootComplex rc(sim, "rc", rc_params);
+        mem::SimpleMem host(sim, "host", mem::SimpleMemParams{},
+                            mem::AddrRange::with_size(0, 1 * kGiB));
+        rc.mem_side().bind(host.port());
+        pcie::PcieLink up(sim, "up", pcie::LinkParams{});
+        pcie::PcieSwitch sw(sim, "sw", pcie::SwitchParams{});
+        rc.connect_pcie(up.end_a());
+        sw.set_upstream(up.end_b());
+        std::vector<std::unique_ptr<pcie::PcieLink>> links;
+        std::vector<std::unique_ptr<StreamDevice>> devs;
+        for (std::uint16_t id = 1; id <= 2; ++id) {
+            const Addr bar = kBarBase + Addr{id} * 64 * kKiB;
+            links.push_back(std::make_unique<pcie::PcieLink>(
+                sim, "dn" + std::to_string(id), pcie::LinkParams{}));
+            devs.push_back(std::make_unique<StreamDevice>(
+                sim, "ep" + std::to_string(id), id, bar, kPerDevice));
+            sw.add_downstream(links.back()->end_a(),
+                              {mem::AddrRange::with_size(bar, 64 * kKiB)},
+                              id);
+            devs.back()->connect_pcie(links.back()->end_b());
+        }
+        sim.startup();
+        for (auto& dev : devs) {
+            dev->pump();
+        }
+        (void)sim.run();
+        for (const auto& dev : devs) {
+            if (!dev->done()) {
+                // A stalled stage ends the run early, which would report a
+                // truncated run as a fast one; fail the process.
+                std::fprintf(stderr, "bm_pcie_stage: %s stalled\n",
+                             dev->name().c_str());
+                std::exit(3);
+            }
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            2 * static_cast<std::int64_t>(kPerDevice));
+}
+BENCHMARK(bm_pcie_stage)->Unit(benchmark::kMillisecond);
 
 void bm_dram_stream(benchmark::State& state)
 {

@@ -1,5 +1,7 @@
 #include "core/system_config.hh"
 
+#include <algorithm>
+
 #include "mem/dram_config.hh"
 
 namespace accesys::core {
@@ -190,8 +192,23 @@ void SystemConfig::validate() const
     }
 
     require_cfg(!devices.empty(), "a system needs at least one accelerator");
-    for (const DeviceConfig& dev : devices) {
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const DeviceConfig& dev = devices[i];
         dev.accel.validate();
+        // The RC admits an inbound TLP only once all of its host-split
+        // chunks fit in its fabric queue; a TLP that splits (at worst
+        // alignment) into more chunks than the queue holds would stall at
+        // the head of the line forever.
+        const std::uint64_t tlp_bytes =
+            std::max(dev.accel.dma.request_bytes, dev.accel.dma.write_bytes);
+        const std::uint64_t split = rc.host_split_bytes;
+        const std::uint64_t worst_chunks = (tlp_bytes + split - 2) / split + 1;
+        require_cfg(worst_chunks <= rc.mem_queue_capacity, "device ", i,
+                    dev.name.empty() ? "" : " (" + dev.name + ")", ": a ",
+                    tlp_bytes, " B TLP splits into up to ", worst_chunks,
+                    " RC chunks of ", split,
+                    " B, more than the RC mem queue capacity ",
+                    rc.mem_queue_capacity);
         if (dev.accel.bar0_base != 0) {
             require_cfg(dev.accel.bar0_base >= host_dram_bytes,
                         "BAR0 must not overlap host DRAM");

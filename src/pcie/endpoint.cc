@@ -9,15 +9,16 @@ namespace accesys::pcie {
 Endpoint::Endpoint(Simulator& sim, std::string name,
                    const EndpointParams& params,
                    std::vector<mem::AddrRange> bars)
-    : SimObject(sim, std::move(name)), params_(params), bars_(std::move(bars))
+    : SimObject(sim, std::move(name)),
+      params_(params),
+      bars_(std::move(bars)),
+      delay_(sim, this->name() + ".process",
+             ticks_from_ns(params.latency_ns),
+             [](void* self) { static_cast<Endpoint*>(self)->process_delayed(); },
+             this)
 {
     require_cfg(params_.device_id != 0,
                 "endpoint device id 0 is reserved for the host");
-    latency_ticks_ = ticks_from_ns(params_.latency_ns);
-    process_event_.set_name(this->name() + ".process");
-    process_event_.set_raw_callback(
-        [](void* self) { static_cast<Endpoint*>(self)->process_delayed(); },
-        this);
     if (FaultInjector* fi = sim.fault_injector(); fi != nullptr) {
         fault_ =
             std::make_unique<EpFaultState>(stat_group(), *fi, this->name());
@@ -41,6 +42,7 @@ void Endpoint::connect_pcie(PciePort& port)
     ensure(pcie_port_ == nullptr, name(), ": PCIe port already connected");
     pcie_port_ = &port;
     port.attach(*this, 0);
+    egress_ = TlpQueue(port, &tlps_sent_);
 }
 
 void Endpoint::release_pcie_ingress(std::uint32_t payload_bytes)
@@ -59,20 +61,15 @@ Addr Endpoint::bar_offset(Addr addr) const
     panic(name(), ": address 0x", std::hex, addr, " not in any BAR");
 }
 
-void Endpoint::recv_tlp(unsigned /*port_idx*/, TlpPtr tlp)
+void Endpoint::recv_tlp(unsigned port_idx, TlpPtr tlp)
 {
-    const Tick ready = now() + latency_ticks_;
-    delay_q_.push_back(Delayed{ready, std::move(tlp)});
-    if (!process_event_.scheduled()) {
-        eq().schedule(process_event_, ready);
-    }
+    delay_.push(std::move(tlp), port_idx);
 }
 
 void Endpoint::process_delayed()
 {
-    while (!delay_q_.empty() && delay_q_.front().ready <= now()) {
-        TlpPtr tlp = std::move(delay_q_.front().tlp);
-        delay_q_.pop_front();
+    while (delay_.ready_head() != nullptr) {
+        TlpPtr tlp = delay_.pop().tlp;
         const std::uint32_t ingress_cost = tlp->payload_bytes();
 
         switch (tlp->type) {
@@ -123,10 +120,7 @@ void Endpoint::process_delayed()
         }
         pcie_port_->release_ingress(ingress_cost);
     }
-    if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule(process_event_,
-                                       delay_q_.front().ready);
-    }
+    delay_.rearm();
 }
 
 bool Endpoint::poison_roll()
@@ -176,19 +170,11 @@ void Endpoint::begin_flr(Tick duration)
            ": function-level reset without an active fault plan");
     ++fault_->stats.flrs;
     // Every TLP parked in the ingress delay stage still holds link ingress
-    // credits: drop the TLP and release them, re-arming the link.
-    while (!delay_q_.empty()) {
-        TlpPtr tlp = std::move(delay_q_.front().tlp);
-        delay_q_.pop_front();
-        ++fault_->stats.flr_dropped_tlps;
-        pcie_port_->release_ingress(tlp->payload_bytes());
-    }
-    // Staged egress TLPs never consumed credits; their sent-hooks point at
+    // credits: drop the TLP and release them, re-arming the link. Staged
+    // egress TLPs never consumed credits; their sent-hooks point at
     // function state that dies with this reset — drop them.
-    while (!egress_q_.empty()) {
-        egress_q_.pop_front();
-        ++fault_->stats.flr_dropped_tlps;
-    }
+    fault_->stats.flr_dropped_tlps +=
+        static_cast<double>(delay_.drop_all(*pcie_port_) + egress_.clear());
     fault_->flr_until = now() + duration;
 }
 
@@ -198,87 +184,21 @@ void Endpoint::credit_avail(unsigned /*port_idx*/)
     // want of credits (PcieLink arms it from the failed can_send probe);
     // idle-link credit returns are harvested inline instead. Anything that
     // must make progress on credit availability has to stage through
-    // send_tlp / kick_egress — which the DMA engine's egress-depth gating
-    // and tx_ready() hook do.
-    kick_egress();
+    // send_tlp — which the DMA engine's egress-depth gating and tx_ready()
+    // hook do.
+    egress_.kick();
     tx_ready();
 }
 
 void Endpoint::send_tlp(TlpPtr tlp, SentHook on_sent)
 {
-    ensure(pcie_port_ != nullptr, name(), ": endpoint not connected");
-    // Uncongested fast path: nothing staged ahead and credits ready — send
-    // without the ring round trip (order-identical: the queue was empty).
-    if (egress_q_.empty() && pcie_port_->can_send(*tlp)) {
-        pcie_port_->send(std::move(tlp));
-        ++tlps_sent_;
-        if (on_sent) {
-            on_sent();
-        }
-        return;
-    }
-    egress_q_.push_back(Staged{std::move(tlp), on_sent});
-    kick_egress();
-}
-
-std::size_t Endpoint::egress_depth() const
-{
-    return egress_q_.size();
-}
-
-std::uint64_t Endpoint::encode_sent_hook(const SentHook& hook) const
-{
-    ensure(!hook, name(), ": staged SentHook with no encoder");
-    return 0;
-}
-
-SentHook Endpoint::decode_sent_hook(std::uint64_t /*code*/)
-{
-    panic(name(), ": SentHook decode without an encoder override");
+    egress_.push(std::move(tlp), on_sent);
 }
 
 void Endpoint::serialize(Ckpt& ar)
 {
-    std::uint64_t n_delay = delay_q_.size();
-    std::uint64_t n_egress = egress_q_.size();
-    ar.io(n_delay, n_egress);
-    if (ar.saving()) {
-        for (std::size_t i = 0; i < n_delay; ++i) {
-            Delayed& d = delay_q_[i];
-            ar.io(d.ready);
-            ckpt_tlp(ar, d.tlp);
-        }
-        for (std::size_t i = 0; i < n_egress; ++i) {
-            Staged& s = egress_q_[i];
-            std::uint8_t has_hook = s.on_sent ? 1 : 0;
-            std::uint64_t code = has_hook != 0
-                                     ? encode_sent_hook(s.on_sent)
-                                     : 0;
-            ar.io(has_hook, code);
-            ckpt_tlp(ar, s.tlp);
-        }
-    } else {
-        delay_q_.clear();
-        egress_q_.clear();
-        for (std::uint64_t i = 0; i < n_delay; ++i) {
-            Delayed d;
-            ar.io(d.ready);
-            ckpt_tlp(ar, d.tlp);
-            delay_q_.push_back(std::move(d));
-        }
-        for (std::uint64_t i = 0; i < n_egress; ++i) {
-            Staged s;
-            std::uint8_t has_hook = 0;
-            std::uint64_t code = 0;
-            ar.io(has_hook, code);
-            ckpt_tlp(ar, s.tlp);
-            if (has_hook != 0) {
-                s.on_sent = decode_sent_hook(code);
-            }
-            egress_q_.push_back(std::move(s));
-        }
-    }
-    process_event_.serialize(ar, eq());
+    delay_.serialize(ar);
+    egress_.serialize(ar, *this);
     if (fault_ != nullptr) {
         // Config-keyed presence (plan active + ACCESYS_FAULTS): a restore
         // against the same config reconstructs the same block.
@@ -289,26 +209,11 @@ void Endpoint::serialize(Ckpt& ar)
 
 void Endpoint::report_occupancy(std::string& out) const
 {
-    if (delay_q_.empty() && egress_q_.empty()) {
+    if (delay_.empty() && egress_.empty()) {
         return;
     }
-    out += "  " + name() + ": ingress_delayed=" +
-           std::to_string(delay_q_.size()) +
-           ", egress_staged=" + std::to_string(egress_q_.size()) + "\n";
-}
-
-void Endpoint::kick_egress()
-{
-    ensure(pcie_port_ != nullptr, name(), ": endpoint not connected");
-    while (!egress_q_.empty() && pcie_port_->can_send(*egress_q_.front().tlp)) {
-        Staged staged = std::move(egress_q_.front());
-        egress_q_.pop_front();
-        pcie_port_->send(std::move(staged.tlp));
-        ++tlps_sent_;
-        if (staged.on_sent) {
-            staged.on_sent();
-        }
-    }
+    out += "  " + name() + ": " + delay_.occupancy("ingress_delayed") +
+           ", " + egress_.occupancy("egress_staged") + "\n";
 }
 
 } // namespace accesys::pcie

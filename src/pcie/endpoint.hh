@@ -2,7 +2,9 @@
 //
 // Subclasses (e.g. the MatrixFlow accelerator device) implement the MMIO
 // register hooks and receive DMA read completions; they transmit via
-// `send_tlp()`, which stages into a credit-gated egress queue.
+// `send_tlp()`. Arriving TLPs pass the shared DelayStage (paper Table II:
+// 20 ns) and outgoing ones the shared credit-gated TlpQueue (pcie/link.hh),
+// the same two stages the switch and the root complex use.
 #pragma once
 
 #include <functional>
@@ -13,7 +15,6 @@
 #include "pcie/link.hh"
 #include "sim/fault_injector.hh"
 #include "sim/random.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::pcie {
@@ -58,19 +59,14 @@ class Endpoint : public SimObject, public PcieNode {
         return fault_ != nullptr && now() < fault_->flr_until;
     }
 
-    /// Checkpoint/restore the delay and egress queues. Subclasses carrying
+    /// Checkpoint/restore the delay and egress stages. Subclasses carrying
     /// extra state override, call this, and append their own fields.
+    /// Subclasses whose engines attach SentHooks override the PcieNode
+    /// encode/decode pair.
     void serialize(Ckpt& ar) override;
     void report_occupancy(std::string& out) const override;
 
   protected:
-    /// Encode/decode a staged SentHook for checkpointing. The base class
-    /// never produces hooks, so the defaults only handle the empty case;
-    /// subclasses whose engines attach hooks must override both.
-    [[nodiscard]] virtual std::uint64_t encode_sent_hook(
-        const SentHook& hook) const;
-    [[nodiscard]] virtual SentHook decode_sent_hook(std::uint64_t code);
-
     /// Register read at BAR-relative `addr`; returns the register value.
     virtual std::uint64_t mmio_read(Addr addr, std::uint32_t size) = 0;
 
@@ -88,7 +84,10 @@ class Endpoint : public SimObject, public PcieNode {
     void send_tlp(TlpPtr tlp, SentHook on_sent = {});
 
     /// Number of TLPs waiting for wire/credits.
-    [[nodiscard]] std::size_t egress_depth() const;
+    [[nodiscard]] std::size_t egress_depth() const noexcept
+    {
+        return egress_.size();
+    }
 
     /// Translate an absolute BAR address to a BAR-relative offset.
     [[nodiscard]] Addr bar_offset(Addr addr) const;
@@ -126,23 +125,10 @@ class Endpoint : public SimObject, public PcieNode {
     bool mmio_ur_active();
 
     EndpointParams params_;
-    Tick latency_ticks_ = 0; ///< precomputed ticks_from_ns(latency_ns)
     std::vector<mem::AddrRange> bars_;
     PciePort* pcie_port_ = nullptr;
-
-    struct Staged {
-        TlpPtr tlp;
-        SentHook on_sent;
-    };
-    RingBuffer<Staged> egress_q_;
-    void kick_egress();
-
-    struct Delayed {
-        Tick ready = 0;
-        TlpPtr tlp;
-    };
-    RingBuffer<Delayed> delay_q_;
-    Event process_event_{"", nullptr};
+    DelayStage delay_;
+    TlpQueue egress_;
 
     /// Device-level fault stats, registered only under an active plan so
     /// clean-run stat dumps are untouched.

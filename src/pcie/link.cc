@@ -762,20 +762,101 @@ void PcieLink::report_occupancy(std::string& out) const
     out += "\n";
 }
 
-void TlpQueue::serialize(Ckpt& ar)
+std::uint64_t PcieNode::encode_sent_hook(const SentHook& hook) const
+{
+    ensure(!hook, "staged SentHook with no encoder");
+    return 0;
+}
+
+SentHook PcieNode::decode_sent_hook(std::uint64_t /*code*/)
+{
+    panic("SentHook decode without an encoder override");
+}
+
+DelayStage::DelayStage(Simulator& sim, std::string event_name, Tick latency,
+                       ServeFn serve, void* ctx)
+    : eq_(&sim.queue()), latency_(latency), event_(std::move(event_name),
+                                                   nullptr)
+{
+    event_.set_raw_callback(serve, ctx);
+}
+
+std::size_t DelayStage::drop_all(PciePort& ingress)
+{
+    const std::size_t n = q_.size();
+    while (!q_.empty()) {
+        ingress.release_ingress(q_.take_front().tlp->payload_bytes());
+    }
+    return n;
+}
+
+void DelayStage::serialize(Ckpt& ar)
 {
     std::uint64_t n = q_.size();
     ar.io(n);
-    if (ar.saving()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            ckpt_tlp(ar, q_[i]);
-        }
-    } else {
+    if (ar.loading()) {
         q_.clear();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            TlpPtr tlp;
-            ckpt_tlp(ar, tlp);
-            q_.push_back(std::move(tlp));
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Entry loaded;
+        Entry& e = ar.saving() ? q_[i] : loaded;
+        ar.io(e.ready, e.from);
+        ckpt_tlp(ar, e.tlp);
+        if (ar.loading()) {
+            q_.push_back(std::move(loaded));
+        }
+    }
+    event_.serialize(ar, *eq_);
+}
+
+std::string DelayStage::occupancy(const std::string& label) const
+{
+    std::string out = label + "=" + std::to_string(q_.size());
+    if (!q_.empty()) {
+        out += " (head ";
+        out += q_.front().tlp->describe();
+        out += ")";
+    }
+    return out;
+}
+
+std::string TlpQueue::occupancy(const std::string& label) const
+{
+    std::string out = label + "=" + std::to_string(q_.size());
+    if (!q_.empty()) {
+        std::size_t hooks = 0;
+        for (std::size_t i = 0; i < q_.size(); ++i) {
+            hooks += q_[i].on_sent ? 1 : 0;
+        }
+        out += " (head ";
+        out += q_.front().tlp->describe();
+        out += ", ";
+        out += std::to_string(hooks);
+        out += " with SentHook)";
+    }
+    return out;
+}
+
+void TlpQueue::serialize(Ckpt& ar, PcieNode& owner)
+{
+    std::uint64_t n = q_.size();
+    ar.io(n);
+    if (ar.loading()) {
+        q_.clear();
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Staged loaded;
+        Staged& s = ar.saving() ? q_[i] : loaded;
+        std::uint8_t has_hook = s.on_sent ? 1 : 0;
+        std::uint64_t code =
+            has_hook != 0 ? owner.encode_sent_hook(s.on_sent) : 0;
+        ar.io(has_hook, code);
+        ckpt_tlp(ar, s.tlp);
+        if (ar.loading()) {
+            if (has_hook != 0) {
+                loaded.on_sent = owner.decode_sent_hook(code);
+            }
+            q_.push_back(std::move(loaded));
         }
     }
 }

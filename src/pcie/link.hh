@@ -36,9 +36,17 @@
 // the replay timer re-sends what the wire lost. Without a plan no fault
 // state is allocated and no fault stat registered: the clean path and its
 // stats dumps are bit-identical to a build without the fault model.
+//
+// The two TLP staging stages every PcieNode (endpoint, switch, root
+// complex) builds on also live here: DelayStage, the store-and-forward
+// ingress latency that holds a TLP's ingress credits until its owner
+// consumes or forwards it, and TlpQueue, the credit-gated egress FIFO in
+// front of a PciePort whose departures fire each TLP's SentHook.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "pcie/tlp.hh"
@@ -95,6 +103,13 @@ class PcieNode {
 
     /// Transmit credits became available on `port_idx` — kick egress queues.
     virtual void credit_avail(unsigned /*port_idx*/) {}
+
+    /// Encode/decode a SentHook staged in one of this node's egress queues
+    /// for checkpointing. The defaults handle only the empty hook; nodes
+    /// that stage hooks override both.
+    [[nodiscard]] virtual std::uint64_t encode_sent_hook(
+        const SentHook& hook) const;
+    [[nodiscard]] virtual SentHook decode_sent_hook(std::uint64_t code);
 };
 
 /// One end of a link. Owned by the link, used by the attached node.
@@ -137,41 +152,151 @@ class PciePort {
     std::uint64_t tx_data_credits_ = 0;
 };
 
-/// FIFO egress staging in front of a PciePort; drains as credits allow.
+/// Ingress delay stage shared by every PCIe node (endpoint, switch, root
+/// complex): store-and-forward. Each arriving TLP is held for the node's
+/// latency (paper Table II) and keeps its link ingress credits until the
+/// owner consumes or forwards it. The stage owns one event, armed for the
+/// head entry; its callback is the owner's service loop, which drains
+/// ready entries through ready_head()/pop() and ends with rearm(). An
+/// owner that stalls at the head returns without re-arming and calls
+/// rearm() once the stall can clear.
+class DelayStage {
+  public:
+    using ServeFn = void (*)(void*);
+
+    struct Entry {
+        Tick ready = 0;
+        TlpPtr tlp;
+        unsigned from = 0; ///< owner's ingress port index
+    };
+
+    DelayStage(Simulator& sim, std::string event_name, Tick latency,
+               ServeFn serve, void* ctx);
+
+    /// Stamp `ready = now + latency` and arm the event if idle.
+    void push(TlpPtr tlp, unsigned from)
+    {
+        const Tick ready = eq_->now() + latency_;
+        q_.push_back(Entry{ready, std::move(tlp), from});
+        if (!event_.scheduled()) {
+            eq_->schedule(event_, ready);
+        }
+    }
+
+    /// The head entry once its latency has elapsed, else null.
+    [[nodiscard]] Entry* ready_head()
+    {
+        return !q_.empty() && q_.front().ready <= eq_->now() ? &q_.front()
+                                                             : nullptr;
+    }
+
+    Entry pop() { return q_.take_front(); }
+
+    /// Arm the event at max(now, head.ready) unless empty or armed.
+    void rearm()
+    {
+        if (!q_.empty() && !event_.scheduled()) {
+            eq_->schedule(event_, std::max(eq_->now(), q_.front().ready));
+        }
+    }
+
+    /// Drop every entry, releasing the ingress credits each still holds
+    /// on `ingress` (function-level reset); returns the count dropped.
+    std::size_t drop_all(PciePort& ingress);
+
+    [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
+    [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
+
+    /// Checkpoint/restore the entries and the event.
+    void serialize(Ckpt& ar);
+
+    /// Occupancy-report fragment: "<label>=<n>", plus the head TLP when
+    /// non-empty.
+    [[nodiscard]] std::string occupancy(const std::string& label) const;
+
+  private:
+    EventQueue* eq_;
+    Tick latency_;
+    RingBuffer<Entry> q_;
+    Event event_;
+};
+
+/// Credit-gated FIFO egress staging in front of a PciePort, shared by every
+/// PCIe node. A TLP leaves as soon as it reaches the head and the peer's
+/// ingress has credits; on departure the queue bumps the owner's sent
+/// counter (if any) and fires the TLP's SentHook.
 class TlpQueue {
   public:
-    explicit TlpQueue(PciePort& port) : port_(&port) {}
-
-    void push(TlpPtr tlp)
+    TlpQueue() = default;
+    explicit TlpQueue(PciePort& port, stats::Scalar* sent = nullptr)
+        : port_(&port), sent_(sent)
     {
+    }
+
+    [[nodiscard]] PciePort* port() const noexcept { return port_; }
+
+    /// Stage `tlp`; `on_sent` fires when it hits the wire.
+    void push(TlpPtr tlp, SentHook on_sent = {})
+    {
+        ensure(port_ != nullptr, "PCIe egress queue not connected");
         // Uncongested fast path: nothing staged ahead and credits ready —
         // skip the ring round trip (order-identical: the queue was empty).
         if (q_.empty() && port_->can_send(*tlp)) {
-            port_->send(std::move(tlp));
+            depart(std::move(tlp), on_sent);
             return;
         }
-        q_.push_back(std::move(tlp));
+        q_.push_back(Staged{std::move(tlp), on_sent});
         kick();
     }
 
-    /// Send as many queued TLPs as credits permit (call from credit_avail).
+    /// Send as many staged TLPs as credits permit (call from credit_avail).
     void kick()
     {
-        while (!q_.empty() && port_->can_send(*q_.front())) {
-            port_->send(std::move(q_.front()));
-            q_.pop_front();
+        while (!q_.empty() && port_->can_send(*q_.front().tlp)) {
+            Staged s = q_.take_front();
+            depart(std::move(s.tlp), s.on_sent);
         }
+    }
+
+    /// Drop every staged TLP unsent; returns the count dropped.
+    std::size_t clear()
+    {
+        const std::size_t n = q_.size();
+        q_.clear();
+        return n;
     }
 
     [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
 
-    /// Checkpoint/restore the staged TLPs (defined in link.cc).
-    void serialize(Ckpt& ar);
+    /// Checkpoint/restore the staged TLPs; hooks go through `owner`'s
+    /// encode_sent_hook/decode_sent_hook.
+    void serialize(Ckpt& ar, PcieNode& owner);
+
+    /// Occupancy-report fragment: "<label>=<n>", plus the head TLP and the
+    /// number of staged SentHooks when non-empty.
+    [[nodiscard]] std::string occupancy(const std::string& label) const;
 
   private:
-    PciePort* port_;
-    RingBuffer<TlpPtr> q_;
+    struct Staged {
+        TlpPtr tlp;
+        SentHook on_sent;
+    };
+
+    void depart(TlpPtr tlp, SentHook on_sent)
+    {
+        port_->send(std::move(tlp));
+        if (sent_ != nullptr) {
+            ++*sent_;
+        }
+        if (on_sent) {
+            on_sent();
+        }
+    }
+
+    PciePort* port_ = nullptr;
+    stats::Scalar* sent_ = nullptr;
+    RingBuffer<Staged> q_;
 };
 
 /// The wire. Symmetric; see file header for the model.

@@ -21,6 +21,12 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
                          const RcParams& params)
     : SimObject(sim, std::move(name)),
       params_(params),
+      delay_(sim, this->name() + ".process",
+             ticks_from_ns(params.latency_ns),
+             [](void* self) {
+                 static_cast<RootComplex*>(self)->process_delayed();
+             },
+             this),
       mem_port_(this->name() + ".mem_side", *this),
       mmio_port_(this->name() + ".mmio_side", *this),
       mem_q_(sim, this->name() + ".mem_q",
@@ -47,7 +53,6 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
     for (std::size_t s = 0; s < params_.max_inbound_reads; ++s) {
         slot_free_bits_[s / 64] |= std::uint64_t{1} << (s % 64);
     }
-    latency_ticks_ = ticks_from_ns(params_.latency_ns);
     split_shift_ = log2i(params_.host_split_bytes);
     split_mask_ = params_.host_split_bytes - 1;
     if (params_.completion_timeout_ns > 0) {
@@ -61,24 +66,9 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
             },
             this);
     }
-    process_event_.set_name(this->name() + ".process");
-    process_event_.set_raw_callback(
-        [](void* self) {
-            static_cast<RootComplex*>(self)->process_delayed();
-        },
-        this);
     // When the fabric queue drains, head-of-line stalls may clear.
     mem_q_.set_drain_hook(
-        [](void* s) {
-            auto* self = static_cast<RootComplex*>(s);
-            if (!self->delay_q_.empty() &&
-                !self->process_event_.scheduled()) {
-                self->eq().schedule(
-                    self->process_event_,
-                    std::max(self->now(), self->delay_q_.front().ready));
-            }
-        },
-        this);
+        [](void* s) { static_cast<RootComplex*>(s)->delay_.rearm(); }, this);
     mem_port_.set_fast_path(
         [](void* s, mem::PacketPtr& pkt) {
             return static_cast<RootComplex*>(s)->recv_resp(pkt);
@@ -96,16 +86,12 @@ void RootComplex::connect_pcie(PciePort& port)
     ensure(pcie_port_ == nullptr, name(), ": PCIe port already connected");
     pcie_port_ = &port;
     port.attach(*this, 0);
-    egress_ = std::make_unique<TlpQueue>(port);
+    egress_ = TlpQueue(port);
 }
 
-void RootComplex::recv_tlp(unsigned /*port_idx*/, TlpPtr tlp)
+void RootComplex::recv_tlp(unsigned port_idx, TlpPtr tlp)
 {
-    const Tick ready = now() + latency_ticks_;
-    delay_q_.push_back(Delayed{ready, std::move(tlp)});
-    if (!process_event_.scheduled()) {
-        eq().schedule(process_event_, ready);
-    }
+    delay_.push(std::move(tlp), port_idx);
 }
 
 void RootComplex::credit_avail(unsigned /*port_idx*/)
@@ -113,15 +99,13 @@ void RootComplex::credit_avail(unsigned /*port_idx*/)
     // Only fires when a staged completion/MMIO TLP was refused for want of
     // credits (lazy link accounting elides the idle-link kicks); the
     // TlpQueue holds everything that could be waiting.
-    if (egress_) {
-        egress_->kick();
-    }
+    egress_.kick();
 }
 
 void RootComplex::process_delayed()
 {
-    while (!delay_q_.empty() && delay_q_.front().ready <= now()) {
-        Tlp& head = *delay_q_.front().tlp;
+    while (DelayStage::Entry* entry = delay_.ready_head()) {
+        Tlp& head = *entry->tlp;
 
         if (head.type == TlpType::mem_read) {
             const std::size_t chunks =
@@ -141,18 +125,15 @@ void RootComplex::process_delayed()
             }
             service_write(head);
         } else {
-            service_completion(std::move(delay_q_.front().tlp));
-            delay_q_.pop_front();
+            service_completion(std::move(entry->tlp));
+            delay_.pop();
             continue;
         }
 
         pcie_port_->release_ingress(head.payload_bytes());
-        delay_q_.pop_front();
+        delay_.pop();
     }
-    if (!delay_q_.empty() && !process_event_.scheduled()) {
-        eq().schedule(process_event_,
-                                       delay_q_.front().ready);
-    }
+    delay_.rearm();
 }
 
 void RootComplex::service_read(Tlp& tlp)
@@ -302,7 +283,7 @@ void RootComplex::advance_completions(std::size_t slot)
         TlpPtr cpl = tlp_pool_->make_completion(span, rd.tag, rd.requester,
                                                 rd.emitted, is_last);
         cpl->poisoned = rd.poisoned;
-        egress_->push(std::move(cpl));
+        egress_.push(std::move(cpl));
         ++completions_sent_;
         rd.emitted += span;
         if (is_last) {
@@ -311,11 +292,7 @@ void RootComplex::advance_completions(std::size_t slot)
             slot_free_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
             --inbound_live_;
             // A service slot freed: head-of-line stall may clear.
-            if (!delay_q_.empty() && !process_event_.scheduled()) {
-                eq().schedule(
-                    process_event_,
-                    std::max(now(), delay_q_.front().ready));
-            }
+            delay_.rearm();
             return;
         }
     }
@@ -329,7 +306,7 @@ bool RootComplex::recv_req(mem::PacketPtr& pkt)
         if (pkt->has_payload()) {
             tlp->set_data(pkt->payload_data(), pkt->payload_size());
         }
-        egress_->push(std::move(tlp));
+        egress_.push(std::move(tlp));
         if (!pkt->flags.posted) {
             // MMIO writes are posted on the wire; ack the fabric now.
             pkt->make_response();
@@ -352,7 +329,7 @@ bool RootComplex::recv_req(mem::PacketPtr& pkt)
 
     auto tlp = tlp_pool_->make_mem_read(pkt->addr(), pkt->size(), tag, 0);
     mmio_pending_[tag] = std::move(pkt);
-    egress_->push(std::move(tlp));
+    egress_.push(std::move(tlp));
     if (watchdog_ != nullptr) {
         watchdog_->deadline[tag] = now() + cpl_timeout_ticks_;
         watchdog_->tries[tag] = 0;
@@ -398,7 +375,7 @@ void RootComplex::check_mmio_timeouts()
                          << std::min(watchdog_->tries[tag], 16U));
             ++watchdog_->retries;
             const mem::PacketPtr& pkt = mmio_pending_[tag];
-            egress_->push(tlp_pool_->make_mem_read(
+            egress_.push(tlp_pool_->make_mem_read(
                 pkt->addr(), pkt->size(), static_cast<std::uint8_t>(tag),
                 0));
         }
@@ -413,23 +390,8 @@ void RootComplex::check_mmio_timeouts()
 
 void RootComplex::serialize(Ckpt& ar)
 {
-    std::uint64_t n_delay = delay_q_.size();
-    ar.io(n_delay);
-    if (ar.loading()) {
-        delay_q_.clear();
-    }
-    for (std::uint64_t i = 0; i < n_delay; ++i) {
-        if (ar.saving()) {
-            Delayed& d = delay_q_[i];
-            ar.io(d.ready);
-            ckpt_tlp(ar, d.tlp);
-        } else {
-            Delayed d;
-            ar.io(d.ready);
-            ckpt_tlp(ar, d.tlp);
-            delay_q_.push_back(std::move(d));
-        }
-    }
+    delay_.serialize(ar);
+    egress_.serialize(ar, *this);
 
     // Inbound read slots: POD, fixed pool.
     const std::size_t n_slots = inbound_reads_.size();
@@ -459,14 +421,10 @@ void RootComplex::serialize(Ckpt& ar)
         cpl_timeout_event_.serialize(ar, eq());
     }
 
-    if (egress_ != nullptr) {
-        egress_->serialize(ar);
-    }
     mem_port_.serialize(ar);
     mmio_port_.serialize(ar);
     mem_q_.serialize(ar);
     mmio_resp_q_.serialize(ar);
-    process_event_.serialize(ar, eq());
 }
 
 void RootComplex::report_occupancy(std::string& out) const
@@ -475,17 +433,15 @@ void RootComplex::report_occupancy(std::string& out) const
     for (const auto& slot : mmio_pending_) {
         mmio_live += slot != nullptr ? 1 : 0;
     }
-    if (delay_q_.empty() && inbound_live_ == 0 && mmio_live == 0 &&
-        mem_q_.empty() && mmio_resp_q_.empty() &&
-        (egress_ == nullptr || egress_->empty())) {
+    if (delay_.empty() && inbound_live_ == 0 && mmio_live == 0 &&
+        mem_q_.empty() && mmio_resp_q_.empty() && egress_.empty()) {
         return;
     }
-    out += "  " + name() + ": delayed=" + std::to_string(delay_q_.size()) +
+    out += "  " + name() + ": " + delay_.occupancy("delayed") +
            ", inbound_reads=" + std::to_string(inbound_live_) +
            ", mmio_pending=" + std::to_string(mmio_live) +
            ", mem_q=" + std::to_string(mem_q_.size()) +
-           ", egress=" +
-           std::to_string(egress_ != nullptr ? egress_->size() : 0) +
+           ", " + egress_.occupancy("egress") +
            (mmio_blocked_upstream_ ? ", blocking CPU MMIO" : "") + "\n";
 }
 

@@ -15,10 +15,11 @@
 //     BAR range) become MRd/MWr TLPs; MMIO writes are posted, reads wait
 //     for the device completion (bounded tag pool).
 //
-// Every TLP is charged `latency_ns` (paper Table II: 150 ns) in a
-// store-and-forward stage whose head-of-line stalls — together with the
-// ingress credits held until service — provide the back-pressure behaviour
-// the packet-size study (Fig. 4) measures.
+// Every TLP is charged `latency_ns` (paper Table II: 150 ns) in the shared
+// store-and-forward DelayStage (pcie/link.hh), whose head-of-line stalls —
+// together with the ingress credits held until service — provide the
+// back-pressure behaviour the packet-size study (Fig. 4) measures.
+// Completions and MMIO requests leave through the shared TlpQueue.
 #pragma once
 
 #include <array>
@@ -26,7 +27,6 @@
 
 #include "mem/port.hh"
 #include "pcie/link.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::pcie {
@@ -230,23 +230,16 @@ class RootComplex final : public SimObject,
     }
 
     RcParams params_;
-    Tick latency_ticks_ = 0; ///< precomputed ticks_from_ns(latency_ns)
     unsigned split_shift_ = 0;       ///< log2(host_split_bytes)
     std::uint64_t split_mask_ = 0;   ///< host_split_bytes - 1
     PciePort* pcie_port_ = nullptr;
-    std::unique_ptr<TlpQueue> egress_;
+    DelayStage delay_;
+    TlpQueue egress_;
 
     mem::RequestPort mem_port_;
     mem::ResponsePort mmio_port_;
     mem::PacketQueue mem_q_;
     mem::PacketQueue mmio_resp_q_;
-
-    struct Delayed {
-        Tick ready = 0;
-        TlpPtr tlp;
-    };
-    RingBuffer<Delayed> delay_q_;
-    Event process_event_{"", nullptr};
 
     std::vector<InboundRead> inbound_reads_; ///< fixed slot pool
     /// Direct-map read_key() -> slot index (-1 = no live read). Grown on

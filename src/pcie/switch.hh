@@ -6,10 +6,11 @@
 //   * completions route by requester id (0 = root complex / host).
 //
 // Each forwarded TLP is charged the switch latency (paper Table II: 50 ns)
-// before entering the egress queue; ingress buffer space (and thus the
-// upstream transmitter's credits) is released only once the TLP leaves on
-// the egress wire, which is what makes large packets "stall at each
-// component" (paper §V-B1b).
+// in the shared DelayStage before entering its egress port's shared
+// TlpQueue (pcie/link.hh). Ingress buffer space (and thus the upstream
+// transmitter's credits) is released only once the TLP leaves on the
+// egress wire — the staged TLP's SentHook releases it — which is what
+// makes large packets "stall at each component" (paper §V-B1b).
 #pragma once
 
 #include <utility>
@@ -17,7 +18,6 @@
 
 #include "mem/addr_range.hh"
 #include "pcie/link.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::pcie {
@@ -55,37 +55,26 @@ class PcieSwitch final : public SimObject, public PcieNode {
     void serialize(Ckpt& ar) override;
     void report_occupancy(std::string& out) const override;
 
-  private:
-    struct Egress {
-        PciePort* port = nullptr;
-        /// TLPs staged for this egress; `from` is the ingress port index
-        /// whose buffer is released once the TLP departs.
-        struct Staged {
-            TlpPtr tlp;
-            unsigned from = 0;
-        };
-        RingBuffer<Staged> q;
-    };
+    /// Staged SentHooks release an ingress buffer: encoded as the ingress
+    /// port index (high half) and the payload bytes (low half).
+    [[nodiscard]] std::uint64_t encode_sent_hook(
+        const SentHook& hook) const override;
+    [[nodiscard]] SentHook decode_sent_hook(std::uint64_t code) override;
 
+  private:
     struct Downstream {
         std::vector<mem::AddrRange> bars;
         std::vector<std::uint16_t> device_ids;
     };
 
     [[nodiscard]] unsigned route(const Tlp& tlp) const;
-    /// One-entry memo of the last BAR-routed decision (DMA streams hit the
-    /// same downstream BAR in long runs). Pure-function cache: identical
-    /// inputs produce identical routes, so determinism is unaffected.
-    mutable mem::AddrRange last_bar_{};
-    mutable unsigned last_bar_out_ = 0;
-    void kick(unsigned egress_idx);
     void forward_delayed();
 
     SwitchParams params_;
-    Tick latency_ticks_ = 0; ///< precomputed ticks_from_ns(latency_ns)
-    /// Egress ports; index 0 = upstream. Sized while wiring only, so
-    /// references taken while forwarding stay valid.
-    std::vector<Egress> egress_;
+    DelayStage delay_;
+    /// Egress queues, one per port; index 0 = upstream. The port a TLP
+    /// arrived on is egress_[from].port().
+    std::vector<TlpQueue> egress_;
     std::vector<Downstream> downstream_; ///< parallel to egress_[1..]
     /// requester id -> egress index; flat (a handful of entries), scanned
     /// linearly on the completion routing fast path.
@@ -99,15 +88,6 @@ class PcieSwitch final : public SimObject, public PcieNode {
         }
         return nullptr;
     }
-
-    /// Ingress-side store-and-forward delay stage.
-    struct Delayed {
-        Tick ready = 0;
-        TlpPtr tlp;
-        unsigned from = 0;
-    };
-    RingBuffer<Delayed> delay_q_;
-    Event forward_event_{"", nullptr};
 
     stats::Scalar forwarded_{stat_group(), "forwarded", "TLPs forwarded"};
     stats::Scalar upstream_tlps_{stat_group(), "upstream_tlps",

@@ -57,7 +57,10 @@ class Ckpt {
     // v4: "sim.counters" loses the express-lane hit/spill counters.
     // v5: the Runner's "runner.rounds" hook (every round-engine front end)
     //     replaces "runner.serving".
-    static constexpr std::uint32_t kFormatVersion = 5;
+    // v6: one layout for every PCIe node's staged TLPs: the shared delay
+    //     stage (ready, ingress port, TLP; then its event) and egress
+    //     queue (SentHook code, TLP).
+    static constexpr std::uint32_t kFormatVersion = 6;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/runner.hh"
@@ -25,9 +26,10 @@ namespace {
 using workload::GemmSpec;
 
 /// EXPECT_THROW plus message inspection: the SimError must identify the
-/// deadlock and include the occupancy diagnostic.
+/// deadlock and include the occupancy diagnostic (and `also`, if given).
 template <typename Fn>
-void expect_deadlock_diagnostic(Fn&& run, const char* needle)
+void expect_deadlock_diagnostic(Fn&& run, const char* needle,
+                                const std::string& also = "")
 {
     try {
         run();
@@ -35,6 +37,7 @@ void expect_deadlock_diagnostic(Fn&& run, const char* needle)
     } catch (const SimError& e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+        EXPECT_NE(msg.find(also), std::string::npos) << msg;
         EXPECT_NE(msg.find("occupancy"), std::string::npos)
             << "diagnostic must carry the occupancy report: " << msg;
     }
@@ -55,8 +58,17 @@ TEST(Liveness, CreditLeakDeadlockDiagnosedSerial)
     sys.pcie_uplink().test_leak_credits(0);
     Runner runner(sys);
     runner.dispatch(0, GemmSpec{32, 32, 32, 3}, Placement::host);
+    // The diagnostic names what is stuck: the doorbell write staged in
+    // the RC's egress queue.
+    std::ostringstream doorbell;
+    doorbell << "rc: delayed=0, inbound_reads=0, mmio_pending=0, mem_q=0, "
+                "egress=1 (head MWr addr=0x"
+             << std::hex
+             << sys.accelerator(0).bars().front().start() +
+                    accel::kRegDoorbell
+             << " ";
     expect_deadlock_diagnostic([&] { (void)runner.run_dispatched(); },
-                               "liveness watchdog");
+                               "liveness watchdog", doorbell.str());
     // The doorbell never crossed the starved uplink.
     EXPECT_EQ(sys.stat("link_up.tlps"), 0.0);
 }

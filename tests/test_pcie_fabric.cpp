@@ -469,13 +469,12 @@ TEST(SwitchRules, DeviceIdZeroReserved)
     EXPECT_THROW(sw.add_downstream(link.end_a(), {}, 0), ConfigError);
 }
 
-// --- BAR-route memo audit ---------------------------------------------------
-// The switch memoises the last (BAR range, egress) answer. Pin the stale
-// hazards: alternating BAR targets must re-route every flip, and a
-// downstream added after routing has occurred must be reachable (the memo
-// is dropped on topology growth).
+// --- BAR routing ------------------------------------------------------------
+// Every memory TLP routes by the downstream BARs as they stand: alternating
+// BAR targets re-route on every flip, and a downstream added after routing
+// has occurred is reachable.
 
-TEST_F(MultiDeviceFixture, BarMemoAlternatingTargetsStaysExact)
+TEST_F(MultiDeviceFixture, RoutingAlternatingBarTargetsStaysExact)
 {
     build();
     for (int i = 0; i < 3; ++i) {
@@ -492,10 +491,10 @@ TEST_F(MultiDeviceFixture, BarMemoAlternatingTargetsStaysExact)
     EXPECT_EQ(dev_b->writes.size(), 3u);
 }
 
-TEST_F(FabricFixture, BarMemoDroppedWhenDownstreamAddedAfterTraffic)
+TEST_F(FabricFixture, RoutingReachesDownstreamAddedAfterTraffic)
 {
     build();
-    // Populate the memo with dev's BAR.
+    // Route a write to dev's BAR first.
     auto wr = Packet::make_write(kBar0 + 0x8, 8);
     wr->set_payload_value<std::uint64_t>(0x11);
     ASSERT_TRUE(cpu.port().send_req(wr));
@@ -503,8 +502,7 @@ TEST_F(FabricFixture, BarMemoDroppedWhenDownstreamAddedAfterTraffic)
     ASSERT_EQ(dev->writes.size(), 1u);
 
     // Grow the topology: a second endpoint behind the same switch, then
-    // address both BARs. The memoised answer predates the new port and
-    // must not survive the add.
+    // address both BARs.
     constexpr Addr kBar1 = 0x100000100000ULL;
     PcieLink dn2(sim, "dn2", link_params);
     ProbeDevice dev2(sim, "dev2", 2,
@@ -527,8 +525,8 @@ TEST_F(FabricFixture, BarMemoDroppedWhenDownstreamAddedAfterTraffic)
 
 TEST(SwitchRules, OverlappingBarRejectedAtAdd)
 {
-    // The memo's exactness argument requires disjoint BARs; overlap must
-    // keep failing at add_downstream time.
+    // Routing by first match requires disjoint BARs; overlap must keep
+    // failing at add_downstream time.
     Simulator sim;
     PcieSwitch sw(sim, "sw", SwitchParams{});
     PcieLink l1(sim, "l1", LinkParams{});

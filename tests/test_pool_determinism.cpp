@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -491,6 +492,69 @@ TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
 
     const std::string path = ::testing::TempDir() + "roundtrip_fault.ckpt";
     const SimSnapshot split = run_gemm_split(4, 32, &plan, in_window, path);
+    EXPECT_TRUE(split.verified);
+    EXPECT_EQ(straight.end_tick, split.end_tick);
+    EXPECT_EQ(straight.stats_text, split.stats_text);
+    EXPECT_EQ(straight.stats_json, split.stats_json);
+}
+
+TEST(CheckpointRoundTrip, EveryPcieStageOccupiedRoundTripsBitIdentical)
+{
+    // Shallow link credits (8 headers, 512 B of data) back the 4-endpoint
+    // host GEMM up so that at kAt every PCIe staging point holds TLPs: an
+    // endpoint's delay stage (a completion) and egress queue (DMA writes
+    // with their SentHooks), the switch's delay stage and credit-starved
+    // upstream egress (forwards whose SentHooks release switch ingress),
+    // and the RC's delay stage and egress queue (completions). A run
+    // checkpointed there and resumed in a fresh System must match the
+    // straight run byte for byte.
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    cfg.pcie.hdr_credits = 8;
+    cfg.pcie.data_credit_bytes = 512;
+    const Tick at = ticks_from_ns(11000.0);
+    const auto drive = [](core::Runner& runner) {
+        for (std::size_t d = 0; d < 4; ++d) {
+            runner.dispatch(d, workload::GemmSpec{64, 64, 64, 3},
+                            core::Placement::host, /*verify=*/true);
+        }
+        return runner.run_dispatched();
+    };
+
+    SimSnapshot straight;
+    {
+        core::System sys(cfg);
+        core::Runner runner(sys);
+        straight = snapshot_of(sys, drive(runner).all_verified());
+    }
+    ASSERT_TRUE(straight.verified);
+    ASSERT_GT(straight.end_tick, at);
+
+    const std::string path = ::testing::TempDir() + "pcie_stages.ckpt";
+    {
+        core::System sys(cfg);
+        core::Runner runner(sys);
+        sys.sim().request_checkpoint_at(path, at);
+        ASSERT_TRUE(drive(runner).checkpointed);
+        const std::string occ = sys.sim().occupancy_report();
+        const auto shows = [&occ](const char* pattern) {
+            return std::regex_search(occ, std::regex(pattern));
+        };
+        EXPECT_TRUE(shows(R"(  mf\d*: ingress_delayed=[1-9]\d* \(head CplD)"
+                          R"([^\n]*egress_staged=[1-9]\d* \(head MWr[^\n]*, )"
+                          R"([1-9]\d* with SentHook\))"))
+            << occ;
+        EXPECT_TRUE(shows(R"(  pcie_sw: delayed=[1-9][^\n]*egress0=[1-9]\d* )"
+                          R"(\([^\n]*, [1-9]\d* with SentHook\))"))
+            << occ;
+        EXPECT_TRUE(shows(R"(  link_up: [^\n]*tx credit-starved)")) << occ;
+        EXPECT_TRUE(shows(R"(  rc: delayed=[1-9][^\n]*egress=[1-9])")) << occ;
+    }
+    core::System sys(cfg);
+    core::Runner runner(sys);
+    runner.set_restore_path(path);
+    const SimSnapshot split = snapshot_of(sys, drive(runner).all_verified());
+    std::remove(path.c_str());
     EXPECT_TRUE(split.verified);
     EXPECT_EQ(straight.end_tick, split.end_tick);
     EXPECT_EQ(straight.stats_text, split.stats_text);

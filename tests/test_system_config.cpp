@@ -127,6 +127,29 @@ TEST(SystemConfig, ValidationCatchesBadConfigs)
     cfg = SystemConfig::paper_default();
     cfg.cpu.freq_ghz = 0.0;
     EXPECT_THROW(cfg.validate(), ConfigError);
+
+    // A TLP the RC can never admit: 4096 B split into 16 B chunks is up to
+    // 257 chunks against a mem queue of 128, a head-of-line stall forever.
+    cfg = SystemConfig::paper_default();
+    cfg.set_packet_size(4096);
+    cfg.rc.host_split_bytes = 16;
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "unadmittable TLP size validated";
+    } catch (const ConfigError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("device 0"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("4096 B"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("257"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("128"), std::string::npos) << msg;
+    }
+
+    // Fig. 4's largest point, 4096 B TLPs over the 64 B host split (up to
+    // 65 chunks), still fits.
+    cfg = SystemConfig::paper_default();
+    cfg.set_packet_size(4096);
+    EXPECT_EQ(cfg.rc.host_split_bytes, 64u);
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(SystemConfig, DefaultAccessModeIsDc)
