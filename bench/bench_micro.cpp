@@ -183,7 +183,7 @@ void bm_cache_fill(benchmark::State& state)
     // TrafficGen -> Cache -> SimpleMem with an 8 MiB footprint through a
     // 64 KiB cache: a whole-line write pass installs dirty lines, then a
     // read pass misses on every line and evicts them, so fills, victim
-    // selection and the batched writeback flush all run. One iteration is
+    // selection and dirty-victim writebacks all run. One iteration is
     // both passes; items are lines moved (fills plus writebacks).
     cache::CacheParams cp;
     cp.size_bytes = 64 * kKiB;

@@ -1,7 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
-
 #include "sim/serialize.hh"
 
 namespace accesys::cache {
@@ -48,11 +46,6 @@ Cache::Cache(Simulator& sim, std::string name, const CacheParams& params)
     mshr_free_bits_ = params_.mshrs == 64
                           ? ~std::uint64_t{0}
                           : (std::uint64_t{1} << params_.mshrs) - 1;
-    // Writeback staging: a multi-line write run can stage one dirty
-    // victim per installed line, so size for a realistic run (a 4 KiB
-    // bridge split), not just one set's ways. Growth past this retains
-    // capacity, so steady-state allocations stay at zero either way.
-    wb_batch_.reserve(std::max<std::size_t>(params_.assoc, 64));
     lookup_ticks_ = ticks_from_ns(params_.lookup_latency_ns);
     fill_ticks_ = ticks_from_ns(params_.fill_latency_ns);
     line_shift_ = log2i(params_.line_bytes);
@@ -139,13 +132,10 @@ Cache::Line& Cache::pick_victim(Addr addr)
             victim = w;
         }
     }
-    if (params_.repl == CacheParams::Repl::random) {
-        return base[rng_.below(params_.assoc)];
-    }
     return base[victim];
 }
 
-void Cache::stage_install(Addr laddr, bool dirty)
+void Cache::install(Addr laddr, bool dirty)
 {
     Line& victim = pick_victim(laddr);
     if (victim.valid()) {
@@ -157,7 +147,7 @@ void Cache::stage_install(Addr laddr, bool dirty)
                                             params_.line_bytes);
             wb->set_requestor(fill_requestor_);
             wb->flags.posted = true;
-            wb_batch_.push_back(std::move(wb));
+            mem_q_.push(std::move(wb), now());
         }
         victim.invalidate();
     }
@@ -167,35 +157,13 @@ void Cache::stage_install(Addr laddr, bool dirty)
     touch(victim);
 }
 
-void Cache::flush_writebacks()
-{
-    // Batched writeback flush: every dirty victim staged by the preceding
-    // walk leaves in one back-to-back burst — identical packet order and
-    // ready ticks to the per-line interleave (installs never touch the
-    // egress queue, so deferring the pushes past the walk is invisible),
-    // one egress probe per packet but a single walk/flush boundary.
-    if (!wb_batch_.empty()) [[unlikely]] {
-        const Tick ready = now();
-        for (auto& wb : wb_batch_) {
-            mem_q_.push(std::move(wb), ready);
-        }
-        wb_batch_.clear();
-    }
-}
-
-void Cache::install(Addr laddr, bool dirty)
-{
-    stage_install(laddr, dirty);
-    flush_writebacks();
-}
-
 bool Cache::recv_req(mem::PacketPtr& pkt)
 {
     const Addr laddr = line_addr(pkt->addr());
 
     if (((pkt->addr() ^ (pkt->end_addr() - 1)) >> line_shift_) != 0)
         [[unlikely]] {
-        return recv_req_multiline(pkt, laddr);
+        panic(name(), ": request straddles a line: ", pkt->describe());
     }
 
     // Uncacheable traffic bypasses the lookup (DM mode / MMIO). An
@@ -267,7 +235,6 @@ bool Cache::recv_req(mem::PacketPtr& pkt)
     }
 
     mshr->targets.push_back(std::move(pkt));
-    mshr->fill_sent = true;
 
     auto fill = pkt_pool_->make_read(laddr, params_.line_bytes);
     fill->set_requestor(fill_requestor_);
@@ -278,49 +245,6 @@ bool Cache::recv_req(mem::PacketPtr& pkt)
                   static_cast<std::uint64_t>(mshr - mshrs_.data()));
     mem_q_.push(std::move(fill), lookup_done);
     return true;
-}
-
-bool Cache::recv_req_multiline(mem::PacketPtr& pkt, Addr laddr)
-{
-    // A request wider than one line is accepted only as an aligned
-    // *posted* whole-line write run (a fabric bridge with a split size
-    // above our line size streaming full lines — the DMA write-train
-    // shape): the run installs N consecutive lines in one tag-array walk
-    // with a single batched writeback flush, per-line hit/miss accounting
-    // identical to the line-split train the bridge would otherwise send.
-    // Non-posted runs are rejected: their completion would have to wait
-    // on any in-flight fill the run overlaps (split-train semantics), and
-    // no bridge emits them. Anything else still straddles.
-    if (!pkt->is_write() || !pkt->flags.posted || pkt->flags.uncacheable ||
-        pkt->addr() != laddr || pkt->size() % params_.line_bytes != 0) {
-        panic(name(), ": request straddles a line: ", pkt->describe());
-    }
-    const auto n_lines =
-        static_cast<std::uint32_t>(pkt->size() >> line_shift_);
-    Addr a = laddr;
-    for (std::uint32_t i = 0; i < n_lines; ++i, a += params_.line_bytes) {
-        if (Line* line = find_line_l(a); line != nullptr) {
-            ++n_hits_;
-            touch(*line);
-            dirty_lines_ += line->dirty() ? 0 : 1;
-            line->set_dirty(true);
-        } else {
-            ++n_misses_;
-            if (Mshr* pending = find_mshr(a); pending != nullptr) {
-                // A fill for this line is in flight: installing now would
-                // leave a duplicate tag when it lands. The write's effect
-                // is what a split-train target join would produce — the
-                // line arrives dirty. (Unlike the split train, the posted
-                // run consumes no target slot here: strictly less
-                // backpressure, same installed state.)
-                pending->dirty_on_fill = true;
-            } else {
-                stage_install(a, true);
-            }
-        }
-    }
-    flush_writebacks();
-    return true; // posted: absorbed, no response
 }
 
 bool Cache::recv_resp(mem::PacketPtr& pkt)
@@ -347,7 +271,7 @@ void Cache::handle_fill(std::uint64_t fill_tag)
     ensure(mshr->live && mshr->laddr == laddr, name(),
            ": fill without MSHR @0x", std::hex, laddr);
 
-    bool dirty = mshr->dirty_on_fill;
+    bool dirty = false;
     for (const auto& t : mshr->targets) {
         dirty |= t->is_write();
     }
@@ -431,8 +355,6 @@ void Cache::serialize(Ckpt& ar)
 {
     // Tag array + replacement state (fixed geometry; lines_ is one machine
     // word per way, so the raw image is the natural representation).
-    ensure(wb_batch_.empty(), name(),
-           ": checkpoint inside an install run (writebacks staged)");
     ar.raw(lines_.data(), lines_.size() * sizeof(Line));
     ar.pod_vec(lru_);
     ar.io(lru_clock_, valid_lines_, dirty_lines_, blocked_upstream_,
@@ -440,15 +362,8 @@ void Cache::serialize(Ckpt& ar)
     std::uint64_t live = mshrs_live_;
     ar.io(live);
     mshrs_live_ = static_cast<std::size_t>(live);
-    // Per-slot keys (laddr|1 live, 0 free): kept in the format, but the
-    // lookup index is derived from the slots below, so loads ignore them.
-    std::vector<std::uint64_t> keys;
-    for (const Mshr& m : mshrs_) {
-        keys.push_back(ar.saving() && m.live ? m.laddr | 1 : 0);
-    }
-    ar.pod_vec(keys);
     for (Mshr& m : mshrs_) {
-        ar.io(m.laddr, m.live, m.fill_sent, m.dirty_on_fill);
+        ar.io(m.laddr, m.live);
         ckpt_packet_vec(ar, m.targets);
     }
     if (ar.loading()) {
@@ -460,7 +375,6 @@ void Cache::serialize(Ckpt& ar)
             }
         }
     }
-    rng_.serialize(ar);
     cpu_port_.serialize(ar);
     mem_port_.serialize(ar);
     resp_q_.serialize(ar);

@@ -1,17 +1,21 @@
 // Set-associative write-back cache with MSHR-based miss handling.
 //
-// One instance serves as L1D, L1I, LLC, IOCache or device-side cache — only
-// the parameters differ (paper Table II). Features:
+// One instance serves as L1D, LLC or IOCache — only the parameters differ
+// (paper Table II). Features:
 //   * write-allocate with a whole-line write fast path (no fill read for
 //     full-line writes, which matters for streaming DMA),
+//   * LRU replacement,
 //   * bounded MSHRs with multiple targets per miss (hit-under-miss),
 //   * uncacheable bypass (DM access mode forwards straight through),
 //   * bus-snoop hooks implementing invalidation-based MSI-lite coherence
 //     (see mem::Snooper — functional data is coherent by construction, the
-//     snoops maintain timing-relevant line state).
+//     snoops maintain timing-relevant line state). The bus calls every
+//     snooper; a snoop returns at once when the valid/dirty line counters
+//     show it has nothing to touch.
 //
-// Requests must not straddle a cache line; fabric bridges (PCIe root
-// complex, CPU) split accesses at line granularity.
+// Every request must fit in one line; a wider one panics.
+// SystemConfig::validate() keeps the bridges' split sizes (RC host split,
+// CPU line) at or below the line size of the cache they feed.
 #pragma once
 
 #include <array>
@@ -20,7 +24,6 @@
 #include "mem/packet.hh"
 #include "mem/port.hh"
 #include "mem/xbar.hh"
-#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 namespace accesys::cache {
@@ -33,8 +36,6 @@ struct CacheParams {
     double fill_latency_ns = 1.0;   ///< install-to-response on the miss path
     std::size_t mshrs = 8;          ///< outstanding distinct line misses
     std::size_t targets_per_mshr = 16;
-    enum class Repl { lru, random };
-    Repl repl = Repl::lru;
 
     void validate() const;
 
@@ -74,22 +75,14 @@ class Cache final : public SimObject,
     }
 
     /// Checkpoint/restore tags, LRU clocks, MSHRs (with queued target
-    /// packets), egress queues and the replacement RNG.
+    /// packets) and egress queues.
     void serialize(Ckpt& ar) override;
     void report_occupancy(std::string& out) const override;
 
-    // mem::Snooper
+    // mem::Snooper. Each returns at once when the occupancy counters show
+    // nothing it could touch (no valid line / no dirty line).
     void snoop_invalidate(Addr addr, std::uint32_t size) override;
     void snoop_clean(Addr addr, std::uint32_t size) override;
-    /// CONTRACT with the bus-side occupancy filter: when valid_lines_ is
-    /// 0 an invalidate — and when dirty_lines_ is 0 a clean — must be a
-    /// complete no-op including on every stat (the snoop_* bodies below
-    /// keep the matching early-outs). If a snoop ever grows a
-    /// side effect before those guards, remove this override.
-    [[nodiscard]] mem::Snooper::Occupancy snoop_occupancy() const override
-    {
-        return {&valid_lines_, &dirty_lines_};
-    }
 
   private:
     /// 8-byte line record: the tag is line-aligned, so its low bits hold
@@ -129,10 +122,6 @@ class Cache final : public SimObject,
     struct Mshr {
         Addr laddr = 0;
         bool live = false;
-        bool fill_sent = false;
-        /// A whole-line write run covered this line while the fill was in
-        /// flight: the fill installs dirty (see recv_req_multiline).
-        bool dirty_on_fill = false;
         std::vector<mem::PacketPtr> targets;
     };
 
@@ -183,8 +172,6 @@ class Cache final : public SimObject,
         Mshr& m = mshrs_[i];
         m.live = true;
         m.laddr = laddr;
-        m.fill_sent = false;
-        m.dirty_on_fill = false;
         mshr_buckets_[mshr_bucket(laddr)] |= std::uint64_t{1} << i;
         ++mshrs_live_;
         return &m;
@@ -199,23 +186,17 @@ class Cache final : public SimObject,
         --mshrs_live_;
     }
     Line& pick_victim(Addr addr);
-    /// install() body with the writeback (victim eviction folded in)
-    /// deferred into `wb_batch_`; flush_writebacks() empties the batch
-    /// downstream in staging order. Together these are the building
-    /// blocks of the run form: recv_req_multiline() walks N consecutive
-    /// sets with stage_install() and flushes the writebacks once
-    /// (mirroring DramTiming::access_run), install() is the one-line
-    /// degenerate case.
-    void stage_install(Addr laddr, bool dirty);
-    void flush_writebacks();
-    /// Aligned whole-line write run (request wider than one line).
-    bool recv_req_multiline(mem::PacketPtr& pkt, Addr laddr);
+    /// Install `laddr` over the set's victim; a dirty victim leaves as a
+    /// posted writeback.
     void install(Addr laddr, bool dirty);
     [[nodiscard]] std::uint64_t& lru_of(const Line& line)
     {
         return lru_[static_cast<std::size_t>(&line - lines_.data())];
     }
     void touch(Line& line) { lru_of(line) = ++lru_clock_; }
+    /// Fill responses find their MSHR in O(1): the fill read's tag carries
+    /// the slot index in the line-offset bits (laddr | slot). Always valid:
+    /// params_.validate() caps mshrs at min(64, line_bytes).
     void handle_fill(std::uint64_t fill_tag);
     void maybe_unblock();
 
@@ -241,18 +222,13 @@ class Cache final : public SimObject,
     std::array<std::uint64_t, kMshrBuckets> mshr_buckets_{};
     std::uint64_t mshr_free_bits_ = 0; ///< free-slot bitmap (lowest first)
     std::size_t mshrs_live_ = 0;
-    /// Fill responses find their MSHR in O(1): the fill read's tag carries
-    /// the slot index in the line-offset bits (laddr | slot). Always valid:
-    /// params_.validate() caps mshrs at min(64, line_bytes).
-    std::vector<mem::PacketPtr> wb_batch_; ///< install_run writeback staging
-    /// Occupancy counters kept exact at every line transition so bus
-    /// snoops can reject in O(1) when this cache holds nothing relevant.
+    /// Occupancy counters kept exact at every line transition so snoops
+    /// return in O(1) when this cache holds nothing relevant.
     std::uint64_t valid_lines_ = 0;
     std::uint64_t dirty_lines_ = 0;
     std::uint64_t lru_clock_ = 0;
     std::uint32_t fill_requestor_; ///< marks packets this cache created
     mem::PacketPool* pkt_pool_;    ///< global pool, resolved once (hot path)
-    Rng rng_;
     bool blocked_upstream_ = false;
 
     stats::Scalar n_hits_{stat_group(), "hits", "demand hits"};

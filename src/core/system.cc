@@ -44,7 +44,7 @@ std::uint64_t mix_link(std::uint64_t h, const pcie::LinkParams& l) noexcept
 std::uint64_t mix_cache(std::uint64_t h, const cache::CacheParams& c) noexcept
 {
     return mix(h, c.size_bytes, c.assoc, c.line_bytes, c.lookup_latency_ns,
-               c.fill_latency_ns, c.mshrs, c.targets_per_mshr, c.repl);
+               c.fill_latency_ns, c.mshrs, c.targets_per_mshr);
 }
 
 std::uint64_t mix_xbar(std::uint64_t h, const mem::XbarParams& x) noexcept
@@ -160,33 +160,12 @@ void System::build()
     // The fault injector must exist before any component constructs:
     // fault-aware components (links, DMA engines, the RC, the CPU) probe
     // sim().fault_injector() exactly once, in their constructors, to decide
-    // whether to allocate fault state and register fault stats. An inactive
-    // plan creates nothing, keeping clean runs bit-identical.
+    // whether to allocate fault state and register fault stats, and read
+    // their fault settings from its plan. An inactive plan creates
+    // nothing, keeping clean runs bit-identical.
     if (cfg_.fault_plan.active()) {
         fault_ = std::make_unique<FaultInjector>(cfg_.fault_plan);
         sim_.set_fault_injector(fault_.get());
-    }
-    if (sim_.fault_injector() != nullptr &&
-        cfg_.fault_plan.completion_timeout_ns > 0) {
-        // Propagate the completion-timeout budget to every requester that
-        // waits on PCIe completions.
-        for (DeviceConfig& dev : cfg_.devices) {
-            dev.accel.dma.completion_timeout_ns =
-                cfg_.fault_plan.completion_timeout_ns;
-            dev.accel.dma.completion_max_retries =
-                cfg_.fault_plan.completion_max_retries;
-        }
-        cfg_.rc.completion_timeout_ns = cfg_.fault_plan.completion_timeout_ns;
-        cfg_.rc.completion_max_retries =
-            cfg_.fault_plan.completion_max_retries;
-    }
-    if (sim_.fault_injector() != nullptr) {
-        // Any enabled plan arms DMA fault mode: stray-completion tolerance
-        // and poison containment work even without a completion watchdog
-        // (FLR drains and poisoned CplDs produce both).
-        for (DeviceConfig& dev : cfg_.devices) {
-            dev.accel.dma.fault_mode = true;
-        }
     }
 
     const mem::AddrRange host = host_range();

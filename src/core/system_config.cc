@@ -180,6 +180,21 @@ void SystemConfig::validate() const
     require_cfg(host_dram_bytes >= 256 * kMiB,
                 "host DRAM must be at least 256 MiB (page tables live there)");
 
+    // A cache serves only requests that fit in one of its lines. The RC
+    // splits inbound DMA at host_split_bytes and the CPU its accesses at
+    // its line size; each cache passes at most its own line to the next.
+    const auto fits_line = [](std::uint32_t req, const char* from,
+                              std::uint32_t line, const char* cache) {
+        require_cfg(req <= line, from, " (", req, " B) exceeds the ", cache,
+                    " line (", line, " B): a cache request would straddle "
+                    "a line");
+    };
+    fits_line(rc.host_split_bytes, "RC host split", iocache.line_bytes,
+              "IOCache");
+    fits_line(iocache.line_bytes, "IOCache line", llc.line_bytes, "LLC");
+    fits_line(cpu.line_bytes, "CPU line", l1d.line_bytes, "L1D");
+    fits_line(l1d.line_bytes, "L1D line", llc.line_bytes, "LLC");
+
     // Structural topology checks (tree order, attachment points, name and
     // id uniqueness, address-map overlap) live in TopologyBuilder::resolve,
     // which every System construction runs; here we only validate the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/fault_injector.hh"
 #include "sim/serialize.hh"
 
 namespace accesys::dma {
@@ -34,17 +35,19 @@ DmaEngine::DmaEngine(Simulator& sim, std::string name,
     for (unsigned t = 0; t < params_.max_tags; ++t) {
         tag_free_bits_[t / 64] |= std::uint64_t{1} << (t % 64);
     }
-    if (params_.completion_timeout_ns > 0 || params_.fault_mode) {
+    if (const FaultInjector* fi = sim.fault_injector(); fi != nullptr) {
         fault_stats_ = std::make_unique<FaultStats>(stat_group());
-    }
-    if (params_.completion_timeout_ns > 0) {
-        timeout_ticks_ = ticks_from_ns(params_.completion_timeout_ns);
-        timeout_event_.set_name(this->name() + ".cpl_timeout");
-        timeout_event_.set_raw_callback(
-            [](void* self) {
-                static_cast<DmaEngine*>(self)->check_timeouts();
-            },
-            this);
+        const FaultPlan& plan = fi->plan();
+        max_retries_ = plan.completion_max_retries;
+        if (plan.completion_timeout_ns > 0) {
+            timeout_ticks_ = ticks_from_ns(plan.completion_timeout_ns);
+            timeout_event_.set_name(this->name() + ".cpl_timeout");
+            timeout_event_.set_raw_callback(
+                [](void* self) {
+                    static_cast<DmaEngine*>(self)->check_timeouts();
+                },
+                this);
+        }
     }
 }
 
@@ -228,7 +231,7 @@ void DmaEngine::check_timeouts()
                 fail_job(*ts.job);
                 continue;
             }
-            if (ts.retries >= params_.completion_max_retries) {
+            if (ts.retries >= max_retries_) {
                 // Retry budget exhausted: the whole transfer is abandoned
                 // (frees every tag of this job, including this one).
                 fail_job(*ts.job);
@@ -304,7 +307,7 @@ void DmaEngine::flr_reset()
 
 void DmaEngine::on_completion(const pcie::Tlp& cpl)
 {
-    if ((timeout_ticks_ > 0 || params_.fault_mode) &&
+    if (fault_stats_ != nullptr &&
         (cpl.tag >= tags_.size() || !tags_[cpl.tag].busy)) {
         // Unexpected completion: the tag was retired by a timeout retry
         // racing the original CplD, or by a job-level failure. Dropped,

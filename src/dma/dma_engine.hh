@@ -54,20 +54,6 @@ struct DmaParams {
     unsigned max_tags = 128;           ///< outstanding MRd TLPs
     std::size_t max_egress = 16;       ///< stage writes while egress shallow
 
-    /// Completion timeout for outstanding MRd tags; 0 (the default)
-    /// disables the watchdog entirely — no timer, no fault stats.
-    /// core::System propagates FaultPlan::completion_timeout_ns here.
-    double completion_timeout_ns = 0.0;
-    /// Timed-out reads are re-issued with exponential backoff up to this
-    /// many times; after that the whole job is abandoned (job-level
-    /// failure — the completion callback never fires).
-    unsigned completion_max_retries = 3;
-
-    /// Set by core::System whenever a FaultInjector is enabled: allocates
-    /// the fault stats and tolerates completions for retired tags (poison
-    /// containment / FLR drains produce strays even without a watchdog).
-    bool fault_mode = false;
-
     void validate() const;
 };
 
@@ -244,9 +230,16 @@ class DmaEngine final : public SimObject {
     bool pumping_ = false;
     bool repump_ = false;
 
+    // Fault settings, read from the simulator's FaultPlan at construction.
+    // With a plan installed the engine keeps fault stats and drops
+    // completions for retired tags (poison containment and FLR drains
+    // produce strays even without a watchdog). A timed-out read is
+    // re-issued with exponential backoff up to max_retries_ times; then
+    // the whole job fails and its completion callback never fires.
     Tick timeout_ticks_ = 0; ///< nonzero = completion watchdog armed
+    unsigned max_retries_ = 0;
     Event timeout_event_{"", nullptr};
-    std::unique_ptr<FaultStats> fault_stats_;
+    std::unique_ptr<FaultStats> fault_stats_; ///< non-null iff a plan is set
 
     stats::Scalar reads_issued_{stat_group(), "reads_issued",
                                 "MRd TLPs issued"};

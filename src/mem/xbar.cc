@@ -140,10 +140,6 @@ RequestPort& Xbar::add_downstream(const std::string& label, AddrRange range)
     outs_.push_back(std::make_unique<OutSide>(
         *this, static_cast<std::uint16_t>(outs_.size()), label, range,
         false));
-    // A memoised route answer predates this port; drop it so the next
-    // lookup re-scans (guards against stale routing if ports are added
-    // after traffic has flowed — see test_xbar RouteMemo tests).
-    last_route_ = nullptr;
     return outs_.back()->qport;
 }
 
@@ -155,7 +151,6 @@ RequestPort& Xbar::add_default_downstream(const std::string& label)
         *this, static_cast<std::uint16_t>(outs_.size()), label, AddrRange{},
         true));
     default_out_ = outs_.back().get();
-    last_route_ = nullptr; // see add_downstream
     return default_out_->qport;
 }
 
@@ -163,9 +158,7 @@ void Xbar::register_snooper(Snooper& snooper, const ResponsePort& via)
 {
     for (const auto& in : ins_) {
         if (&in->rport == &via) {
-            const Snooper::Occupancy occ = snooper.snoop_occupancy();
-            snoopers_.push_back(
-                SnoopEntry{&snooper, in->idx_, occ.valid, occ.dirty});
+            snoopers_.push_back(SnoopEntry{&snooper, in->idx_});
             return;
         }
     }
@@ -185,13 +178,8 @@ void Xbar::startup()
 
 Xbar::OutSide* Xbar::route(Addr addr, std::uint32_t size)
 {
-    if (last_route_ != nullptr && last_route_range_.contains(addr, size)) {
-        return last_route_;
-    }
     for (const auto& out : outs_) {
         if (!out->deflt && out->range.contains(addr, size)) {
-            last_route_ = out.get();
-            last_route_range_ = out->range;
             return out.get();
         }
     }
@@ -208,17 +196,10 @@ void Xbar::distribute_snoops(std::uint16_t in_idx, const Packet& pkt)
             continue; // don't reflect snoops at the initiator
         }
         ++n_snoops_;
-        // Occupancy filter: when the snooper provably holds nothing the
-        // snoop could touch, the virtual call would be a stat-free no-op —
-        // skip it (n_snoops_ still counts the issued operation).
         if (pkt.is_write()) {
-            if (entry.valid == nullptr || *entry.valid != 0) {
-                entry.snooper->snoop_invalidate(pkt.addr(), pkt.size());
-            }
+            entry.snooper->snoop_invalidate(pkt.addr(), pkt.size());
         } else {
-            if (entry.dirty == nullptr || *entry.dirty != 0) {
-                entry.snooper->snoop_clean(pkt.addr(), pkt.size());
-            }
+            entry.snooper->snoop_clean(pkt.addr(), pkt.size());
         }
     }
 }
@@ -320,9 +301,6 @@ void Xbar::serialize(Ckpt& ar)
         out->qport.serialize(ar);
         out->req_q.serialize(ar);
         ckpt_waiters(ar, out->req_waiters, ins_);
-    }
-    if (ar.loading()) {
-        last_route_ = nullptr; // pure route memo; rebuilt on first lookup
     }
 }
 

@@ -3,6 +3,12 @@
 // retry-based backpressure, per-port serialization, and optional snooping
 // for coherence between caches attached upstream.
 //
+// Routing scans the downstream ranges in port order (startup() checks them
+// disjoint); an address no range claims goes to the default port. A coherent
+// bus calls every registered snooper except the initiator's on each
+// cacheable request; the snooper itself decides cheaply whether it holds
+// anything the snoop could touch.
+//
 // Used as the system MemBus (coherent) and as plain interconnect elsewhere.
 #pragma once
 
@@ -30,22 +36,6 @@ class Snooper {
 
     /// Another agent reads [addr, addr+size): demote dirty lines to clean.
     virtual void snoop_clean(Addr addr, std::uint32_t size) = 0;
-
-    /// Optional occupancy counters (valid lines, dirty lines) the bus may
-    /// read to skip the virtual snoop call when this snooper provably
-    /// holds nothing a snoop could touch (an invalidate cannot find a
-    /// line when *valid == 0; a clean cannot demote when *dirty == 0).
-    /// The skipped call would have been a no-op — including on every
-    /// stat — so the filter is invisible to results. Return {nullptr,
-    /// nullptr} (the default) to always receive snoops.
-    struct Occupancy {
-        const std::uint64_t* valid = nullptr;
-        const std::uint64_t* dirty = nullptr;
-    };
-    [[nodiscard]] virtual Occupancy snoop_occupancy() const
-    {
-        return {};
-    }
 };
 
 struct XbarParams {
@@ -77,7 +67,7 @@ class Xbar final : public SimObject {
     void startup() override;
 
     /// Checkpoint/restore per-port queues, serialization horizons and
-    /// retry-waiter lists (the route memo is a pure cache and is reset).
+    /// retry-waiter lists.
     void serialize(Ckpt& ar) override;
     void report_occupancy(std::string& out) const override;
 
@@ -98,19 +88,10 @@ class Xbar final : public SimObject {
     std::vector<std::unique_ptr<InSide>> ins_;
     std::vector<std::unique_ptr<OutSide>> outs_;
     OutSide* default_out_ = nullptr;
-    // One-entry route memo (startup() checks downstream ranges disjoint, so
-    // the memoised answer is the answer the scan would give). Streaming
-    // traffic repeats the same downstream for long runs.
-    OutSide* last_route_ = nullptr;
-    AddrRange last_route_range_;
 
     struct SnoopEntry {
         Snooper* snooper;
         std::uint16_t in_idx;
-        /// Cached occupancy counters (see Snooper::snoop_occupancy);
-        /// nullptr means "always snoop".
-        const std::uint64_t* valid = nullptr;
-        const std::uint64_t* dirty = nullptr;
     };
     std::vector<SnoopEntry> snoopers_;
 

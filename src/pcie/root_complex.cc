@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/fault_injector.hh"
 #include "sim/serialize.hh"
 
 namespace accesys::pcie {
@@ -55,8 +56,10 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
     }
     split_shift_ = log2i(params_.host_split_bytes);
     split_mask_ = params_.host_split_bytes - 1;
-    if (params_.completion_timeout_ns > 0) {
-        cpl_timeout_ticks_ = ticks_from_ns(params_.completion_timeout_ns);
+    if (const FaultInjector* fi = sim.fault_injector();
+        fi != nullptr && fi->plan().completion_timeout_ns > 0) {
+        cpl_timeout_ticks_ = ticks_from_ns(fi->plan().completion_timeout_ns);
+        cpl_max_retries_ = fi->plan().completion_max_retries;
         watchdog_ = std::make_unique<MmioWatchdog>(stat_group(),
                                                    params_.mmio_tags);
         cpl_timeout_event_.set_name(this->name() + ".cpl_timeout");
@@ -349,7 +352,7 @@ void RootComplex::check_mmio_timeouts()
         }
         if (watchdog_->deadline[tag] <= now()) {
             ++watchdog_->timeouts;
-            if (watchdog_->tries[tag] >= params_.completion_max_retries) {
+            if (watchdog_->tries[tag] >= cpl_max_retries_) {
                 // Master abort: answer the fabric with all-ones so the CPU
                 // observes the classic dead-device read value instead of
                 // hanging forever.

@@ -43,15 +43,6 @@ struct RcParams {
     /// DM access mode: all inbound DMA bypasses the cache hierarchy.
     bool inbound_uncacheable = false;
 
-    /// Completion timeout for outbound (CPU MMIO) reads; 0 (the default)
-    /// disables the watchdog. core::System propagates
-    /// FaultPlan::completion_timeout_ns here.
-    double completion_timeout_ns = 0.0;
-    /// Timed-out MMIO reads are re-issued with exponential backoff this
-    /// many times, then master-aborted: the fabric gets an all-ones
-    /// response so the CPU is never wedged on a dead device.
-    unsigned completion_max_retries = 3;
-
     void validate() const;
 };
 
@@ -256,7 +247,13 @@ class RootComplex final : public SimObject,
     TlpPool* tlp_pool_ = nullptr;
     bool mmio_blocked_upstream_ = false;
 
+    // MMIO completion watchdog, armed when the simulator's FaultPlan sets
+    // a completion timeout. A timed-out MMIO read is re-issued with
+    // exponential backoff up to cpl_max_retries_ times, then
+    // master-aborted: the fabric gets an all-ones response so the CPU is
+    // never wedged on a dead device.
     Tick cpl_timeout_ticks_ = 0; ///< nonzero = MMIO watchdog armed
+    unsigned cpl_max_retries_ = 0;
     Event cpl_timeout_event_{"", nullptr};
     std::unique_ptr<MmioWatchdog> watchdog_;
 

@@ -60,7 +60,10 @@ class Ckpt {
     // v6: one layout for every PCIe node's staged TLPs: the shared delay
     //     stage (ready, ingress port, TLP; then its event) and egress
     //     queue (SentHook code, TLP).
-    static constexpr std::uint32_t kFormatVersion = 6;
+    // v7: caches drop the MSHR key vector, the per-MSHR fill_sent and
+    //     dirty_on_fill flags and the replacement RNG; the SMMU drops its
+    //     raw counters (the stats section holds them).
+    static constexpr std::uint32_t kFormatVersion = 7;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 

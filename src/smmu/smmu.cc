@@ -263,11 +263,8 @@ void Smmu::finish_translation(StreamCtx& ctx, mem::PacketPtr pkt,
     ++ctx.translations;
     pkt->record_translation(pa);
 
-    ++translations_;
     ++st_translations_;
-    const double lat_ns = ticks_to_ns(done_at - arrived);
-    total_translation_ns_ += lat_ns;
-    st_trans_ns_.sample(lat_ns);
+    st_trans_ns_.sample(ticks_to_ns(done_at - arrived));
 
     mem_q_.push(std::move(pkt), done_at);
 }
@@ -302,7 +299,6 @@ void Smmu::start_walk(unsigned slot, std::uint64_t vpn)
         }
     }
 
-    ++ptw_count_;
     ++st_ptw_;
     issue_pte_read(slot);
 }
@@ -356,9 +352,7 @@ void Smmu::walker_response(const mem::Packet& pkt)
 void Smmu::complete_walk(unsigned slot, std::uint64_t ppn)
 {
     Walk& w = walks_[slot];
-    const double walk_ns = ticks_to_ns(now() - w.started);
-    total_ptw_ns_ += walk_ns;
-    st_ptw_ns_.sample(walk_ns);
+    st_ptw_ns_.sample(ticks_to_ns(now() - w.started));
 
     tlb_.insert(w.vpn, ppn);
 
@@ -555,8 +549,6 @@ void Smmu::serialize(Ckpt& ar)
             pwc_[PwcKey{level, prefix}] = {table, stamp};
         }
     }
-
-    ar.io(translations_, total_translation_ns_, ptw_count_, total_ptw_ns_);
 
     dev_port_.serialize(ar);
     mem_port_.serialize(ar);

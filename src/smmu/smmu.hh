@@ -108,19 +108,19 @@ class Smmu final : public SimObject,
     // --- Table IV probes ----------------------------------------------------
     [[nodiscard]] std::uint64_t translations() const noexcept
     {
-        return translations_;
+        return static_cast<std::uint64_t>(st_translations_.value());
     }
     [[nodiscard]] double total_translation_ns() const noexcept
     {
-        return total_translation_ns_;
+        return st_trans_ns_.total();
     }
     [[nodiscard]] std::uint64_t ptw_count() const noexcept
     {
-        return ptw_count_;
+        return static_cast<std::uint64_t>(st_ptw_.value());
     }
     [[nodiscard]] double total_ptw_ns() const noexcept
     {
-        return total_ptw_ns_;
+        return st_ptw_ns_.total();
     }
     /// Default stream's micro-TLB (untagged traffic only — RC-stamped
     /// device traffic lands on stream contexts >= 1; use utlb_lookups() /
@@ -328,12 +328,6 @@ class Smmu final : public SimObject,
     /// one-shot events first, then the Bernoulli stream — always consumed,
     /// so the draw count per request is fixed).
     bool fault_roll(std::uint32_t stream);
-
-    // Counters mirrored as stats below.
-    std::uint64_t translations_ = 0;
-    double total_translation_ns_ = 0.0;
-    std::uint64_t ptw_count_ = 0;
-    double total_ptw_ns_ = 0.0;
 
     stats::Scalar st_translations_{stat_group(), "translations",
                                    "requests translated"};

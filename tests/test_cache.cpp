@@ -2,7 +2,6 @@
 #include "test_util.hh"
 
 #include <cstdio>
-#include <tuple>
 
 #include "cache/cache.hh"
 #include "mem/mem_ctrl.hh"
@@ -300,9 +299,24 @@ TEST_F(CacheFixture, SnoopCleanDemotesDirty)
 
 TEST_F(CacheFixture, StraddlingRequestPanics)
 {
+    // Every request wider than the line, or crossing into the next one,
+    // panics whatever its shape.
     auto cache = make();
-    auto p = Packet::make_read(0x3C, 16); // crosses 0x40
-    EXPECT_THROW((void)cpu.port().send_req(p), SimError);
+    auto crossing = Packet::make_read(0x3C, 16); // crosses 0x40
+    EXPECT_THROW((void)cpu.port().send_req(crossing), SimError);
+    auto unaligned = Packet::make_write(0x20, 128);
+    unaligned->flags.posted = true;
+    EXPECT_THROW((void)cpu.port().send_req(unaligned), SimError);
+    auto read = Packet::make_read(0x0, 128);
+    EXPECT_THROW((void)cpu.port().send_req(read), SimError);
+    auto nonposted = Packet::make_write(0x0, 128);
+    EXPECT_THROW((void)cpu.port().send_req(nonposted), SimError);
+    auto posted = Packet::make_write(0x0, 128); // two aligned whole lines
+    posted->flags.posted = true;
+    EXPECT_THROW((void)cpu.port().send_req(posted), SimError);
+    auto uncacheable = Packet::make_write(0x0, 128);
+    uncacheable->flags.uncacheable = true;
+    EXPECT_THROW((void)cpu.port().send_req(uncacheable), SimError);
 }
 
 TEST_F(CacheFixture, PostedWriteHitAbsorbedSilently)
@@ -394,64 +408,6 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
                                            Geometry{32 * kKiB, 8},
                                            Geometry{64 * kKiB, 16}));
 
-// --- whole-line write run form ----------------------------------------------
-// A write spanning several aligned whole lines is accepted as a run: one
-// tag-array walk, per-line hit/miss accounting identical to the 64 B split
-// train a bridge would otherwise send, and dirty victims flushed as one
-// writeback batch.
-
-TEST_F(CacheFixture, MultiLineWholeLineWriteRunMatchesSplitTrain)
-{
-    // Twin caches: one receives a single 4-line write run, the other the
-    // equivalent four line-sized writes. Same installs, same dirt, same
-    // writebacks (after forcing evictions with a conflicting run).
-    auto run_one = [&](bool as_run) {
-        Simulator s;
-        CacheParams p = params;
-        Cache cache(s, "c", p);
-        MockRequestor drv("drv");
-        MockResponder mem("mem");
-        drv.port().bind(cache.cpu_side());
-        cache.mem_side().bind(mem.port());
-
-        auto write_span = [&](Addr base) {
-            if (as_run) {
-                auto w = Packet::make_write(base, 4 * 64);
-                w->flags.posted = true;
-                ASSERT_TRUE(drv.port().send_req(w));
-            } else {
-                for (int i = 0; i < 4; ++i) {
-                    auto w = Packet::make_write(base + 64ull * i, 64);
-                    w->flags.posted = true;
-                    ASSERT_TRUE(drv.port().send_req(w));
-                }
-            }
-            s.run(s.now() + kTicksPerMs);
-        };
-        write_span(0x0000);
-        write_span(0x0000);  // second pass: pure hits
-        // Conflicting span (same sets, 2-way cache, third distinct tag
-        // after the fill reads' interference-free installs): evicts the
-        // dirty lines -> posted writebacks downstream.
-        write_span(0x10000);
-        write_span(0x20000);
-        s.run(s.now() + kTicksPerMs);
-
-        std::size_t wbs = 0;
-        for (const auto& req : mem.requests) {
-            wbs += req->is_write() ? 1 : 0;
-        }
-        return std::tuple{cache.hits(), cache.misses(), wbs};
-    };
-
-    const auto run = run_one(true);
-    const auto split = run_one(false);
-    EXPECT_EQ(std::get<0>(run), std::get<0>(split));
-    EXPECT_EQ(std::get<1>(run), std::get<1>(split));
-    EXPECT_EQ(std::get<2>(run), std::get<2>(split));
-    EXPECT_GT(std::get<2>(run), 0u); // the scenario really evicted dirt
-}
-
 TEST_F(CacheFixture, WholeLineWriteUnderPendingFillJoinsTheMiss)
 {
     // A whole-line write arriving while a fill for the same line is in
@@ -477,21 +433,6 @@ TEST_F(CacheFixture, WholeLineWriteUnderPendingFillJoinsTheMiss)
     EXPECT_TRUE(cache->line_dirty(0x100));
     cache->snoop_invalidate(0x100, 64);
     EXPECT_FALSE(cache->contains_line(0x100)) << "duplicate tag installed";
-}
-
-TEST_F(CacheFixture, MultiLineRejectsNonRunShapes)
-{
-    auto cache = make();
-    auto unaligned = Packet::make_write(0x20, 128); // straddles, not a run
-    unaligned->flags.posted = true;
-    EXPECT_THROW((void)cpu.port().send_req(unaligned), SimError);
-    auto read = Packet::make_read(0x0, 128); // reads have no run form
-    EXPECT_THROW((void)cpu.port().send_req(read), SimError);
-    // Non-posted runs are rejected too: their completion would have to
-    // wait on in-flight fills (split-train semantics) and no bridge
-    // emits them.
-    auto nonposted = Packet::make_write(0x0, 128);
-    EXPECT_THROW((void)cpu.port().send_req(nonposted), SimError);
 }
 
 } // namespace

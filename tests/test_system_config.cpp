@@ -150,6 +150,34 @@ TEST(SystemConfig, ValidationCatchesBadConfigs)
     cfg.set_packet_size(4096);
     EXPECT_EQ(cfg.rc.host_split_bytes, 64u);
     EXPECT_NO_THROW(cfg.validate());
+
+    // Configs whose bridges would hand a cache a request wider than its
+    // line: a 128 B RC split (DC or DM mode), a 32 B IOCache or L1D line.
+    // Each is refused up front, naming both sizes, instead of panicking on
+    // the first access.
+    const auto expect_straddle = [](const SystemConfig& c, const char* req,
+                                    const char* line) {
+        try {
+            c.validate();
+            ADD_FAILURE() << "line-straddling config validated";
+        } catch (const ConfigError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(req), std::string::npos) << msg;
+            EXPECT_NE(msg.find(line), std::string::npos) << msg;
+        }
+    };
+    cfg = SystemConfig::paper_default();
+    cfg.rc.host_split_bytes = 128;
+    expect_straddle(cfg, "128 B", "64 B");
+    cfg.access_mode = AccessMode::dm;
+    expect_straddle(cfg, "128 B", "64 B");
+    cfg = SystemConfig::paper_default();
+    cfg.iocache.line_bytes = 32;
+    expect_straddle(cfg, "64 B", "32 B");
+    cfg = SystemConfig::paper_default();
+    cfg.l1d.line_bytes = 32; // the CPU splits at 64 B
+    expect_straddle(cfg, "64 B", "32 B");
+    EXPECT_NO_THROW(SystemConfig::paper_default().validate());
 }
 
 TEST(SystemConfig, DefaultAccessModeIsDc)

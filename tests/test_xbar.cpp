@@ -237,13 +237,12 @@ TEST_F(XbarFixture, SnooperMustBeRegisteredOnOwnPort)
     EXPECT_THROW(xbar.register_snooper(snoop, foreign_up), ConfigError);
 }
 
-// --- one-entry route memo audit ---------------------------------------------
-// The xbar memoises the last (range, port) routing answer. These tests pin
-// the hazards that could make a memo stale: alternating targets, ports
-// added after traffic has already populated the memo, and default-routed
-// addresses (which must never be memoised as a range answer).
+// --- address-range routing --------------------------------------------------
+// Every request goes to the downstream port whose range claims it, else to
+// the default port: alternating targets, ports added after traffic has
+// flowed, and addresses no range claims.
 
-TEST_F(XbarFixture, RouteMemoAlternatingTargetsStaysExact)
+TEST_F(XbarFixture, AlternatingTargetsRouteExactly)
 {
     Xbar xbar(sim, "xbar", params);
     MockRequestor cpu("cpu");
@@ -254,8 +253,7 @@ TEST_F(XbarFixture, RouteMemoAlternatingTargetsStaysExact)
     xbar.add_downstream("b", AddrRange(0x1000, 0x2000)).bind(memB.port());
     sim.startup();
 
-    // A, B, A, B, A: every flip must re-route; a sticky memo would
-    // misdeliver the alternation.
+    // A, B, A, B, A: every request reaches its own range's port.
     for (int i = 0; i < 5; ++i) {
         auto p = Packet::make_read(i % 2 == 0 ? 0x10 : 0x1800, 4);
         ASSERT_TRUE(cpu.port().send_req(p));
@@ -265,7 +263,7 @@ TEST_F(XbarFixture, RouteMemoAlternatingTargetsStaysExact)
     EXPECT_EQ(memB.requests.size(), 2u);
 }
 
-TEST_F(XbarFixture, RouteMemoInvalidatedByLatePortAddition)
+TEST_F(XbarFixture, LatePortAdditionClaimsItsRange)
 {
     Xbar xbar(sim, "xbar", params);
     MockRequestor cpu("cpu");
@@ -277,8 +275,8 @@ TEST_F(XbarFixture, RouteMemoInvalidatedByLatePortAddition)
     xbar.add_default_downstream("dflt").bind(fallback.port());
     sim.startup();
 
-    // Populate the memo with range A, and send an unclaimed address (must
-    // reach the default port and must NOT be memoised as a range answer).
+    // One request to range A, and one to an unclaimed address, which
+    // reaches the default port.
     auto p1 = Packet::make_read(0x20, 4);
     auto p2 = Packet::make_read(0x5000, 4);
     ASSERT_TRUE(cpu.port().send_req(p1));
@@ -287,11 +285,11 @@ TEST_F(XbarFixture, RouteMemoInvalidatedByLatePortAddition)
     EXPECT_EQ(memA.requests.size(), 1u);
     EXPECT_EQ(fallback.requests.size(), 1u);
 
-    // Add a port claiming the formerly-default address: the memo is
-    // dropped, so the same address now routes to the new port.
+    // Add a port claiming the formerly-default address: the same address
+    // now routes to the new port.
     xbar.add_downstream("late", AddrRange(0x5000, 0x6000)).bind(late.port());
     auto p3 = Packet::make_read(0x5000, 4);
-    auto p4 = Packet::make_read(0x20, 4); // the old memoised range as well
+    auto p4 = Packet::make_read(0x20, 4); // range A still routes to A
     ASSERT_TRUE(cpu.port().send_req(p3));
     ASSERT_TRUE(cpu.port().send_req(p4));
     test::drain(sim);
@@ -302,9 +300,9 @@ TEST_F(XbarFixture, RouteMemoInvalidatedByLatePortAddition)
 
 TEST_F(XbarFixture, OverlappingRangesStillRejectedAtStartup)
 {
-    // The memo's correctness argument leans on startup()'s disjointness
-    // check (a memoised answer must be the answer the scan would give);
-    // make sure overlap keeps failing loudly.
+    // Routing takes the first range that claims an address, which names
+    // one port only when the ranges are disjoint; make sure overlap keeps
+    // failing loudly.
     Xbar xbar(sim, "xbar", params);
     MockRequestor cpu("cpu");
     MockResponder memA("memA");
